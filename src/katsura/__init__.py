@@ -8,7 +8,7 @@ infiniteness, and exact K-theory including realization of prescribed
 K-groups.
 """
 
-from .decisions import AnalysisReport, Caps, Verdict, analyze, simplicity
+from .decisions import AnalysisReport, Verdict, analyze, simplicity
 from .errors import KatsuraError
 from .invsemigroup import ISgElement, PathWord, Triple, ZERO, multiply, star
 from .ktheory import AbelianGroup, KTheoryResult, k_groups, realize, smith_normal_form
@@ -19,7 +19,6 @@ from .semigroupoid import GWord, HPower, compose, lcm, standard_form
 __all__ = [
     "AbelianGroup",
     "AnalysisReport",
-    "Caps",
     "EventuallyPeriodicPath",
     "GWord",
     "HPower",

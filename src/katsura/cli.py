@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 from . import invsemigroup as isg
 from . import parsing, semigroupoid as sgp
-from .decisions import AnalysisReport, Caps, Verdict, analyze
+from .decisions import AnalysisReport, Verdict, analyze
 from .errors import (
     CertificationError,
     ExprParseError,
@@ -101,8 +101,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     pair = _load_pair(args.file)
-    caps = Caps(state_cap=args.depth_cap, probe_exponent=args.probe_l)
-    report = analyze(pair, caps)
+    report = analyze(pair)
     if args.json:
         print(json.dumps(_report_dict(report), indent=2))
     else:
@@ -226,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--depth-cap", type=int, default=64)
-    p.add_argument("--probe-l", type=int, default=4)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("kgroups", help="K-groups of the pair")
@@ -284,6 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("depth", "depth_cap"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            return _fail(
+                "parse", f"--{flag.replace('_', '-')} must be >= 0, got {value}", EXIT_PARSE
+            )
     try:
         return args.func(args)
     except ExprParseError as exc:

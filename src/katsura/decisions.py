@@ -1,21 +1,20 @@
 """Top-level structure verdicts for a pair (A, B).
 
-Verdicts are tri-state because several of the underlying criteria are only
-sufficient conditions, and the fixed-cylinder search is a bounded
-exploration of an in-general unbounded state space.  A Yes or No always
-cites the rule that produced it; Unknown names what stayed undecided.
+Verdicts are tri-state because some of the underlying criteria are only
+sufficient conditions or need condition (E).  A Yes or No always cites the
+rule that produced it; Unknown names the one-sided criterion that stayed
+undecided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from . import matrices
 from .errors import StructuralError
 from .ktheory import KTheoryResult, k_groups
 from .matrices import MatrixPair
-from .pathspace import FinitePath, has_fixed_cylinder
 
 
 @dataclass(frozen=True)
@@ -56,171 +55,173 @@ def _unknown(tag: str, text: str) -> Verdict:
     return Verdict("unknown", (Reason(tag, text),))
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Bounds for the semi-decidable searches."""
-
-    state_cap: int = 64      # fixed-cylinder state exploration
-    probe_exponent: int = 4  # unitary powers probed: +-1 .. +-probe_exponent
-
-
-DEFAULT_CAPS = Caps()
-
-
-def minimality(pair: MatrixPair) -> Verdict:
-    """Exact: the action is minimal iff A is irreducible."""
-    if matrices.is_irreducible(pair):
-        return _yes("irreducible", "the support digraph is strongly connected")
-    return _no("not-irreducible", "the support digraph is not strongly connected")
-
-
 def _bool_verdict(flag: bool, name: str, yes_text: str, no_text: str) -> Verdict:
     return _yes(name, yes_text) if flag else _no(f"not-{name}", no_text)
 
 
-def condition_e_verdict(pair: MatrixPair) -> Verdict:
+def _minimality(irreducible: bool) -> Verdict:
     return _bool_verdict(
-        matrices.satisfies_condition_e(pair),
-        "condition-E",
-        "B is nonzero on every support arc",
-        "B vanishes on some support arc",
+        irreducible,
+        "irreducible",
+        "the support digraph is strongly connected",
+        "the support digraph is not strongly connected",
     )
 
 
-def condition_l_verdict(pair: MatrixPair) -> Verdict:
-    return _bool_verdict(
-        matrices.satisfies_condition_l(pair),
-        "condition-L",
-        "every cycle of the edge graph has an exit",
-        "some cycle of the edge graph is exit-free",
-    )
+def minimality(pair: MatrixPair) -> Verdict:
+    """Exact: the action is minimal iff A is irreducible."""
+    return _minimality(matrices.is_irreducible(pair))
 
 
-def condition_k_verdict(pair: MatrixPair) -> Verdict:
-    return _bool_verdict(
-        matrices.satisfies_condition_k(pair),
-        "condition-K",
-        "every cycle vertex bases at least two cycles",
-        "some cycle vertex bases exactly one cycle",
-    )
+def _coprime_basis(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 over which every nonzero number factors.
+
+    Repeated gcd splitting: a number sharing a factor g with a basis element
+    b replaces b by b/g, g and itself by x/g.  The product of everything
+    pending drops by g at each split, so it terminates; nothing is factored
+    into primes.  (Bernstein 2005 computes the same basis in near-linear
+    time.)
+    """
+    basis: list[int] = []
+    pending = sorted({abs(x) for x in numbers})
+    while pending:
+        x = pending.pop()
+        if x <= 1:
+            continue
+        for k, b in enumerate(basis):
+            g = gcd(x, b)
+            if g > 1:
+                del basis[k]
+                pending += (b // g, g, x // g)
+                break
+        else:
+            basis.append(x)
+    return basis
 
 
-def probe_exponents(pair: MatrixPair, caps: Caps = DEFAULT_CAPS) -> list[int]:
-    """Unitary powers worth probing: small values plus the denominators of
-    the simple-cycle ratio products, which are the first candidates whose
-    trace can stay integral around a loop."""
-    values = set(range(1, caps.probe_exponent + 1))
-    for verts in matrices.simple_vertex_cycles(pair):
-        ratio = Fraction(1)
-        for t in range(len(verts)):
-            i, j = verts[t], verts[(t + 1) % len(verts)]
-            ratio *= pair.ratio(i, j)
-        if ratio != 0:
-            values.add(ratio.denominator)
-    probes = sorted(values)
-    return [l for v in probes for l in (v, -v)]
+def _valuation(x: int, q: int) -> int:
+    """Exponent of q in a nonzero x that factors over a coprime basis holding q."""
+    e = 0
+    while x % q == 0:
+        x //= q
+        e += 1
+    return e
+
+
+def fixed_point_escape(pair: MatrixPair) -> Verdict:
+    """Exact: Yes iff no power u(w)^l, l != 0, of a vertex unitary fixes a
+    whole cylinder.
+
+    u(w)^l fixes a path from w iff its integrality trace l * prod B/A stays
+    integral along the path.  A zero B-entry on a support arc (i, j) zeroes
+    the trace, so u(i) fixes the cylinder [(i,j,1)].  Otherwise, for each
+    element q of a coprime basis of the nonzero A- and B-entries, the
+    exponent of q in the trace moves by v_q(B[i][j]) - v_q(A[i][j]) along
+    arc (i, j).  A vertex that reaches a closed walk of negative q-weight
+    escapes: pumping that walk drives any integer trace to a fraction.  A
+    vertex w that reaches no such walk for any q has finite least walk
+    weights d_q(w) <= 0, and u(w)^l with l = prod q^(-d_q(w)) fixes every
+    path from w.  Bellman-Ford from all vertices at once gives d_q; an arc
+    that still relaxes after N rounds starts at a vertex that reaches a
+    negative closed walk, and so does every vertex that reaches it.
+    """
+    matrices.require_valid(pair)
+    arcs = sorted(pair.support())
+    for i, j in arcs:
+        if pair.b_at(i, j) == 0:
+            return _no(
+                "fixed-cylinder",
+                f"u({i})^1 fixes the cylinder [({i},{j},1)]: B[{i}][{j}] = 0 zeroes the trace",
+            )
+    preds: dict[int, list[int]] = {v: [] for v in pair.vertices}
+    for i, j in arcs:
+        preds[j].append(i)
+    escaping: set[int] = set()
+    least: list[tuple[int, dict[int, int]]] = []
+    for q in _coprime_basis(x for i, j in arcs for x in (pair.a_at(i, j), pair.b_at(i, j))):
+        weighted = [
+            (i, j, _valuation(pair.b_at(i, j), q) - _valuation(pair.a_at(i, j), q))
+            for i, j in arcs
+        ]
+        d = dict.fromkeys(pair.vertices, 0)
+        for _ in range(pair.n):
+            changed = False
+            for i, j, w in weighted:
+                if d[j] + w < d[i]:
+                    d[i] = d[j] + w
+                    changed = True
+            if not changed:
+                break
+        frontier = [i for i, j, w in weighted if d[j] + w < d[i]]
+        draining = set(frontier)
+        while frontier:
+            for u in preds[frontier.pop()]:
+                if u not in draining:
+                    draining.add(u)
+                    frontier.append(u)
+        escaping |= draining
+        least.append((q, d))
+    stuck = [v for v in pair.vertices if v not in escaping]
+    if not stuck:
+        return _yes(
+            "valuation-escape",
+            "every vertex reaches a closed walk along which some coprime factor's"
+            " exponent in the product B/A is negative",
+        )
+    w = stuck[0]
+    l = 1
+    for q, d in least:
+        l *= q ** -d[w]
+    return _no("fixed-cylinder", f"u({w})^{l} fixes the whole cylinder of vertex {w}")
 
 
 @dataclass(frozen=True)
-class CylinderProbeHit:
-    vertex: int
-    exponent: int
-    witness: FinitePath | None
+class _PairFacts:
+    """The graph facts the freeness and simplicity verdicts share, computed
+    once.  The escape verdict exists only where some verdict reads it: under
+    conditions (E) and (L)."""
+
+    condition_e: bool
+    condition_l: bool
+    irreducible: bool
+    escape: Verdict | None
 
 
-def _probe_fixed_cylinders(
-    pair: MatrixPair, caps: Caps
-) -> tuple[CylinderProbeHit | None, bool]:
-    """Returns (first probe that found a fixed cylinder, all probes decided)."""
-    all_decided = True
-    for v in pair.vertices:
-        for l in probe_exponents(pair, caps):
-            res = has_fixed_cylinder(pair, v, l, caps.state_cap)
-            if res.value == "yes":
-                return CylinderProbeHit(v, l, res.witness), all_decided
-            if res.value == "unknown":
-                all_decided = False
-    return None, all_decided
-
-
-def _contracting_cycle_reachable(pair: MatrixPair) -> bool:
-    """From every vertex, some simple cycle with |product of B/A| < 1 is
-    reachable.  Looping such a cycle drives any nonzero trace value to a
-    non-integer, so no fixed set can contain a cylinder."""
-    contracting: set[int] = set()
-    for verts in matrices.simple_vertex_cycles(pair):
-        ratio = Fraction(1)
-        for t in range(len(verts)):
-            i, j = verts[t], verts[(t + 1) % len(verts)]
-            ratio *= pair.ratio(i, j)
-        if abs(ratio) < 1:
-            contracting.update(verts)
-    if not contracting:
-        return False
-    ok = set(contracting)
-    changed = True
-    while changed:
-        changed = False
-        for i in pair.vertices:
-            if i not in ok and any(j in ok for j in pair.out_vertices(i)):
-                ok.add(i)
-                changed = True
-    return ok == set(pair.vertices)
-
-
-def fixed_point_escape(pair: MatrixPair, caps: Caps = DEFAULT_CAPS) -> Verdict:
-    """The interior-emptiness condition for unitary fixed sets: from any
-    position of a fixed point, some continuation breaks integrality.
-
-    No when a probe certifies a fixed cylinder.  Yes via the contracting
-    reachable-cycle sufficiency, sound when B is nonzero on the support.
-    Unknown otherwise.
-    """
-    hit, decided = _probe_fixed_cylinders(pair, caps)
-    if hit is not None:
-        return _no(
-            "fixed-cylinder",
-            f"u({hit.vertex})^{hit.exponent} fixes a whole cylinder "
-            f"(witness prefix of length {len(hit.witness) if hit.witness else 0})",
-        )
-    if matrices.satisfies_condition_e(pair) and _contracting_cycle_reachable(pair):
-        return _yes(
-            "contracting-cycles",
-            "every vertex reaches a simple cycle with |product B/A| < 1",
-        )
-    if decided:
-        return _unknown(
-            "escape-undecided",
-            "no fixed cylinder found by probes, but the contracting-cycle "
-            "sufficiency does not apply",
-        )
-    return _unknown(
-        "probe-cap", "a fixed-cylinder probe hit its exploration cap"
+def _pair_facts(pair: MatrixPair) -> _PairFacts:
+    cond_e = matrices.satisfies_condition_e(pair)
+    cond_l = matrices.satisfies_condition_l(pair)
+    return _PairFacts(
+        cond_e,
+        cond_l,
+        matrices.is_irreducible(pair),
+        fixed_point_escape(pair) if cond_e and cond_l else None,
     )
 
 
-def topological_freeness(pair: MatrixPair, caps: Caps = DEFAULT_CAPS) -> Verdict:
-    """Tri-state verdict on topological freeness of the action."""
-    if not matrices.satisfies_condition_l(pair):
+def _freeness(facts: _PairFacts) -> Verdict:
+    if not facts.condition_l:
         return _no("condition-L-fails", "an exit-free cycle makes its fixed point isolated")
-    if not matrices.satisfies_condition_e(pair):
+    if not facts.condition_e:
         return _no(
             "condition-E-fails",
             "a vanishing B-entry on the support yields a fixed cylinder",
         )
-    escape = fixed_point_escape(pair, caps)
-    if escape.is_no:
-        return Verdict("no", escape.reasons)
-    if escape.is_yes:
-        return Verdict(
-            "yes",
-            (
-                Reason("condition-L", "every cycle has an exit"),
-                Reason("condition-E", "B nonzero on the support"),
-            )
-            + escape.reasons,
+    if facts.escape.is_no:
+        return Verdict("no", facts.escape.reasons)
+    return Verdict(
+        "yes",
+        (
+            Reason("condition-L", "every cycle has an exit"),
+            Reason("condition-E", "B nonzero on the support"),
         )
-    return Verdict("unknown", escape.reasons)
+        + facts.escape.reasons,
+    )
+
+
+def topological_freeness(pair: MatrixPair) -> Verdict:
+    """Exact verdict on topological freeness of the action: condition (L),
+    condition (E) and the fixed-point escape condition."""
+    return _freeness(_pair_facts(pair))
 
 
 _FIXED_POINT_READING = Reason(
@@ -230,11 +231,8 @@ _FIXED_POINT_READING = Reason(
 )
 
 
-def simplicity(pair: MatrixPair, caps: Caps = DEFAULT_CAPS) -> Verdict:
-    """Under the nonvanishing condition on B, simplicity is equivalent to
-    irreducibility + every cycle having an exit + the fixed-point escape
-    condition.  Without it the characterization is unavailable."""
-    if not matrices.satisfies_condition_e(pair):
+def _simplicity(facts: _PairFacts) -> Verdict:
+    if not facts.condition_e:
         return Verdict(
             "unknown",
             (
@@ -245,30 +243,34 @@ def simplicity(pair: MatrixPair, caps: Caps = DEFAULT_CAPS) -> Verdict:
                 _FIXED_POINT_READING,
             ),
         )
-    if not matrices.is_irreducible(pair):
+    if not facts.irreducible:
         return Verdict(
             "no", (Reason("not-irreducible", "the action is not minimal"), _FIXED_POINT_READING)
         )
-    if not matrices.satisfies_condition_l(pair):
+    if not facts.condition_l:
         return Verdict(
             "no",
             (Reason("condition-L-fails", "an exit-free cycle obstructs freeness"), _FIXED_POINT_READING),
         )
-    escape = fixed_point_escape(pair, caps)
-    if escape.is_no:
-        return Verdict("no", escape.reasons + (_FIXED_POINT_READING,))
-    if escape.is_yes:
-        return Verdict(
-            "yes",
-            (
-                Reason("irreducible", "minimal"),
-                Reason("condition-L", "every cycle has an exit"),
-                Reason("condition-E", "B nonzero on the support"),
-            )
-            + escape.reasons
-            + (_FIXED_POINT_READING,),
+    if facts.escape.is_no:
+        return Verdict("no", facts.escape.reasons + (_FIXED_POINT_READING,))
+    return Verdict(
+        "yes",
+        (
+            Reason("irreducible", "minimal"),
+            Reason("condition-L", "every cycle has an exit"),
+            Reason("condition-E", "B nonzero on the support"),
         )
-    return Verdict("unknown", escape.reasons + (_FIXED_POINT_READING,))
+        + facts.escape.reasons
+        + (_FIXED_POINT_READING,),
+    )
+
+
+def simplicity(pair: MatrixPair) -> Verdict:
+    """Under the nonvanishing condition on B, simplicity is equivalent to
+    irreducibility + every cycle having an exit + the fixed-point escape
+    condition.  Without it the characterization is unavailable."""
+    return _simplicity(_pair_facts(pair))
 
 
 def locally_contracting(pair: MatrixPair) -> Verdict:
@@ -293,8 +295,7 @@ def locally_contracting(pair: MatrixPair) -> Verdict:
     return Verdict("unknown", tuple(tags))
 
 
-def pure_infiniteness(pair: MatrixPair, caps: Caps = DEFAULT_CAPS) -> Verdict:
-    simple = simplicity(pair, caps)
+def _pure_infiniteness(simple: Verdict) -> Verdict:
     if simple.is_yes:
         return Verdict(
             "yes",
@@ -305,6 +306,10 @@ def pure_infiniteness(pair: MatrixPair, caps: Caps = DEFAULT_CAPS) -> Verdict:
             "no", (Reason("not-simple", "a non-simple algebra is not purely infinite simple"),)
         )
     return Verdict("unknown", simple.reasons)
+
+
+def pure_infiniteness(pair: MatrixPair) -> Verdict:
+    return _pure_infiniteness(simplicity(pair))
 
 
 def katsura_classic_check(pair: MatrixPair) -> Verdict:
@@ -360,12 +365,14 @@ def _check_consistency(report: AnalysisReport) -> None:
         assert report.essentially_principal.is_yes
 
 
-def analyze(pair: MatrixPair, caps: Caps = DEFAULT_CAPS) -> AnalysisReport:
+def analyze(pair: MatrixPair) -> AnalysisReport:
     """Full report; raises StructuralError if the pair is invalid."""
     matrices.require_valid(pair)
-    cond_e = condition_e_verdict(pair)
-    top_free = topological_freeness(pair, caps)
-    if cond_e.is_yes:
+    facts = _pair_facts(pair)
+    minimal = _minimality(facts.irreducible)
+    top_free = _freeness(facts)
+    simple = _simplicity(facts)
+    if facts.condition_e:
         ess_principal = top_free
         hausdorff = _yes("condition-E", "all elements epic, so germs separate")
     else:
@@ -384,22 +391,32 @@ def analyze(pair: MatrixPair, caps: Caps = DEFAULT_CAPS) -> AnalysisReport:
         )
     report = AnalysisReport(
         condition0=_yes("condition-0", "no zero row in A and B supported inside A"),
-        condition_e=cond_e,
-        irreducible=_bool_verdict(
-            matrices.is_irreducible(pair),
-            "irreducible",
-            "the support digraph is strongly connected",
-            "the support digraph is not strongly connected",
+        condition_e=_bool_verdict(
+            facts.condition_e,
+            "condition-E",
+            "B is nonzero on every support arc",
+            "B vanishes on some support arc",
         ),
-        condition_l=condition_l_verdict(pair),
-        condition_k=condition_k_verdict(pair),
-        minimal=minimality(pair),
+        irreducible=minimal,
+        condition_l=_bool_verdict(
+            facts.condition_l,
+            "condition-L",
+            "every cycle of the edge graph has an exit",
+            "some cycle of the edge graph is exit-free",
+        ),
+        condition_k=_bool_verdict(
+            matrices.satisfies_condition_k(pair),
+            "condition-K",
+            "every cycle vertex bases at least two cycles",
+            "some cycle vertex bases exactly one cycle",
+        ),
+        minimal=minimal,
         topologically_free=top_free,
         essentially_principal=ess_principal,
         hausdorff=hausdorff,
-        simple=simplicity(pair, caps),
+        simple=simple,
         locally_contracting=locally_contracting(pair),
-        purely_infinite_simple=pure_infiniteness(pair, caps),
+        purely_infinite_simple=_pure_infiniteness(simple),
         nuclear=_yes("always", "the algebra is nuclear for every admissible pair"),
         etale=_yes("always", "the germ groupoid is etale with second countable unit space"),
         kgroups=k_groups(pair),

@@ -25,28 +25,6 @@ def mat_mul(x: Matrix, y: Matrix) -> Matrix:
     ]
 
 
-def integer_det(m: Matrix) -> int:
-    """Fraction-free Bareiss elimination; exact for any integer matrix."""
-    n = len(m)
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     """u @ m @ v = d with u, v unimodular and d diagonal, nonnegative,

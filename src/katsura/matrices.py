@@ -60,7 +60,7 @@ class MatrixPair:
 
     def out_vertices(self, i: int) -> tuple[int, ...]:
         """The row section of the support at i."""
-        return tuple(j for j in self.vertices if self.a_at(i, j) >= 1)
+        return tuple(j for j, x in enumerate(self.a[i - 1], 1) if x >= 1)
 
     def support(self) -> set[tuple[int, int]]:
         return {(i, j) for i in self.vertices for j in self.out_vertices(i)}
@@ -90,18 +90,6 @@ class MatrixPair:
 
 
 @dataclass(frozen=True)
-class GraphEA:
-    """The edge multigraph of a pair: one edge (i, j, n) per unit of A[i][j]."""
-
-    n: int
-    edges: tuple[Edge, ...]
-
-
-def graph_of(pair: MatrixPair) -> GraphEA:
-    return GraphEA(pair.n, tuple(pair.edges()))
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[str, ...]
 
@@ -113,14 +101,15 @@ class ValidationReport:
 def validate(pair: MatrixPair) -> ValidationReport:
     """Check the standing requirement on (A, B): no zero row in A, and B
     supported inside the support of A.  Reports every violation."""
-    problems = []
-    for i in pair.vertices:
-        if not pair.out_vertices(i):
-            problems.append(f"row {i} of A is zero")
-    for i in pair.vertices:
-        for j in pair.vertices:
-            if pair.a_at(i, j) == 0 and pair.b_at(i, j) != 0:
-                problems.append(f"B[{i}][{j}] is nonzero but A[{i}][{j}] = 0")
+    problems = [
+        f"row {i} of A is zero" for i, row in enumerate(pair.a, 1) if max(row, default=0) < 1
+    ]
+    for i, (a_row, b_row) in enumerate(zip(pair.a, pair.b), 1):
+        problems += [
+            f"B[{i}][{j}] is nonzero but A[{i}][{j}] = 0"
+            for j, (x, y) in enumerate(zip(a_row, b_row), 1)
+            if x == 0 and y != 0
+        ]
     return ValidationReport(tuple(problems))
 
 
@@ -151,13 +140,64 @@ def _reachable_from(pair: MatrixPair, start: int) -> set[int]:
     return seen
 
 
+def strongly_connected_components(pair: MatrixPair) -> list[tuple[int, ...]]:
+    """Strongly connected components of the support digraph, each sorted,
+    listed sinks first.
+
+    Tarjan's algorithm with an explicit stack in place of recursion, so the
+    depth of the digraph is not bounded by the interpreter's stack.
+    """
+    require_valid(pair)
+    succ = {i: pair.out_vertices(i) for i in pair.vertices}
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    components: list[tuple[int, ...]] = []
+    for root in pair.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        members.append(w)
+                        if w == v:
+                            break
+                    components.append(tuple(sorted(members)))
+    return components
+
+
+def _component_of(components: list[tuple[int, ...]]) -> dict[int, int]:
+    return {v: c for c, members in enumerate(components) for v in members}
+
+
 def is_irreducible(pair: MatrixPair) -> bool:
     """True iff the support digraph is strongly connected (a positive-length
-    path between every ordered pair of vertices)."""
-    require_valid(pair)
-    return all(
-        set(pair.vertices) <= _reachable_from(pair, i) for i in pair.vertices
-    )
+    path between every ordered pair of vertices).  A valid pair has no zero
+    row, so a single component has a cycle through every vertex."""
+    return len(strongly_connected_components(pair)) == 1
 
 
 def satisfies_condition_l(pair: MatrixPair) -> bool:
@@ -191,100 +231,20 @@ def satisfies_condition_l(pair: MatrixPair) -> bool:
     return True
 
 
-def _count_return_paths(pair: MatrixPair, v: int, cap: int = 2) -> int:
-    """Number of edge paths v -> v whose interior avoids v, saturated at `cap`.
-
-    Counts parallel edges separately.  If the viable part of the graph
-    contains a cycle the count is infinite and `cap` is returned.
-    """
-    # viable = vertices (!= v) from which v can be re-entered without passing v
-    viable: set[int] = set()
-    frontier = [v]
-    seen = {v}
-    # reverse reachability to v over arcs whose source is not v
-    preds: dict[int, list[int]] = {u: [] for u in pair.vertices}
-    for i in pair.vertices:
-        if i == v:
-            continue
-        for j in pair.out_vertices(i):
-            preds[j].append(i)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for u in preds[w]:
-                if u not in seen:
-                    seen.add(u)
-                    viable.add(u)
-                    nxt.append(u)
-        frontier = nxt
-
-    allowed = viable | {v}
-    # nodes of interest: reachable from v while staying viable
-    reach: set[int] = set()
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in pair.out_vertices(u):
-                if w in allowed and w != v and w not in reach:
-                    reach.add(w)
-                    nxt.append(w)
-        frontier = nxt
-
-    # a cycle among viable reachable vertices pumps infinitely many returns
-    color: dict[int, int] = {}
-
-    def has_cycle(u: int) -> bool:
-        color[u] = 0
-        for w in pair.out_vertices(u):
-            if w == v or w not in reach:
-                continue
-            c = color.get(w)
-            if c == 0:
-                return True
-            if c is None and has_cycle(w):
-                return True
-        color[u] = 1
-        return False
-
-    for u in sorted(reach):
-        if u not in color and has_cycle(u):
-            return cap
-
-    # acyclic: count weighted paths u -> v by memoized DFS
-    memo: dict[int, int] = {}
-
-    def paths_to_v(u: int) -> int:
-        if u in memo:
-            return memo[u]
-        total = 0
-        for w in pair.out_vertices(u):
-            mult = pair.a_at(u, w)
-            if w == v:
-                total += mult
-            elif w in reach:
-                total += mult * paths_to_v(w)
-            total = min(total, cap)
-        memo[u] = total
-        return total
-
-    total = 0
-    for w in pair.out_vertices(v):
-        mult = pair.a_at(v, w)
-        if w == v:
-            total += mult
-        elif w in reach:
-            total += mult * paths_to_v(w)
-        total = min(total, cap)
-    return total
-
-
 def satisfies_condition_k(pair: MatrixPair) -> bool:
-    """Every vertex lying on a cycle is the base of at least two distinct cycles."""
-    require_valid(pair)
-    for v in pair.vertices:
-        count = _count_return_paths(pair, v, cap=2)
-        if count == 1:
+    """Every vertex lying on a cycle is the base of at least two distinct cycles.
+
+    A vertex on a cycle bases exactly one first-return path iff its component
+    is a bare cycle: every member has exactly one out-arc inside the
+    component, and that arc carries A-entry 1.
+    """
+    components = strongly_connected_components(pair)
+    component = _component_of(components)
+    for c, members in enumerate(components):
+        inner = [[j for j in pair.out_vertices(v) if component[j] == c] for v in members]
+        if any(inner) and all(
+            len(js) == 1 and pair.a_at(v, js[0]) == 1 for v, js in zip(members, inner)
+        ):
             return False
     return True
 
@@ -371,7 +331,9 @@ def is_transitory(pair: MatrixPair, cycle: Cycle) -> bool:
 
 def every_path_extends_to_cycle(pair: MatrixPair) -> bool:
     """True iff reachability is symmetric: whenever j is reachable from i,
-    i is reachable from j (so any finite path closes up into a cycle)."""
-    require_valid(pair)
-    reach = {i: _reachable_from(pair, i) for i in pair.vertices}
-    return all(i in reach[j] for i in pair.vertices for j in reach[i])
+    i is reachable from j (so any finite path closes up into a cycle).
+    That holds iff no support arc leaves its strongly connected component."""
+    component = _component_of(strongly_connected_components(pair))
+    return all(
+        component[i] == component[j] for i in pair.vertices for j in pair.out_vertices(i)
+    )

@@ -442,10 +442,6 @@ def germ(pair: MatrixPair, s: ISgElement, x: EventuallyPeriodicPath) -> Germ:
     return Germ(s, x)
 
 
-def germ_source(gm: Germ) -> EventuallyPeriodicPath:
-    return gm.point
-
-
 def germ_range(pair: MatrixPair, gm: Germ, cap: int = 64) -> EventuallyPeriodicPath:
     image = image_point(pair, gm.element, gm.point, cap)
     assert isinstance(image, EventuallyPeriodicPath)

@@ -7,9 +7,11 @@ being reproducible.
 from __future__ import annotations
 
 import random
+import re
+from fractions import Fraction
 
 from katsura.invsemigroup import PathWord, Triple, triple
-from katsura.matrices import MatrixPair
+from katsura.matrices import MatrixPair, simple_vertex_cycles
 from katsura.semigroupoid import GWord, HPower
 
 
@@ -36,6 +38,25 @@ def random_pair(
                 else:
                     b[i][j] = rng.randint(-b_max, b_max)
     return MatrixPair.from_rows(a, b)
+
+
+def cycle_ratio_denominators(pair: MatrixPair) -> set[int]:
+    """Denominators of the ratio products B/A around the simple cycles: the
+    first exponents whose trace can stay integral around a loop."""
+    out = set()
+    for verts in simple_vertex_cycles(pair):
+        ratio = Fraction(1)
+        for t in range(len(verts)):
+            ratio *= pair.ratio(verts[t], verts[(t + 1) % len(verts)])
+        out.add(ratio.denominator)
+    return out
+
+
+def escape_witness(verdict) -> tuple[int, int]:
+    """The vertex w and exponent l of the power u(w)^l named by a
+    fixed-cylinder reason."""
+    match = re.search(r"u\((\d+)\)\^(\d+)", verdict.reasons[0].text)
+    return int(match.group(1)), int(match.group(2))
 
 
 def random_walk(rng: random.Random, pair: MatrixPair, start: int, length: int) -> tuple:

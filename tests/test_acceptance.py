@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from katsura.decisions import Caps, analyze, topological_freeness, probe_exponents
+from katsura.decisions import analyze, fixed_point_escape, topological_freeness
 from katsura.errors import UnrealizableWithSquareMatrices
 from katsura.invsemigroup import (
     PathWord,
@@ -50,6 +50,8 @@ from katsura.semigroupoid import (
 )
 
 from conftest import (
+    cycle_ratio_denominators,
+    escape_witness,
     random_backward_walk,
     random_isg,
     random_pair,
@@ -355,19 +357,33 @@ def test_criterion_07_fixed_point_laws():
 
 def test_criterion_08_essential_principality_bridge():
     rng = random.Random(108)
-    caps = Caps()
-    seen = 0
+    seen = witnessed = confirmed = 0
     while seen < 50:
         pair = random_pair(rng, n_max=3, a_max=3, ensure_e=True)
         seen += 1
-        verdict = topological_freeness(pair, caps)
-        if verdict.value == "yes":
+        escape = fixed_point_escape(pair)
+        assert escape.value in ("yes", "no")
+        if escape.value == "yes":
+            # the exact Yes survives a bounded search from every vertex
+            # at +-1..+-12 and +- every simple-cycle ratio denominator
+            exponents = set(range(1, 13)) | cycle_ratio_denominators(pair)
             for v in pair.vertices:
-                for l in probe_exponents(pair, caps):
-                    assert has_fixed_cylinder(pair, v, l, caps.state_cap).value != "yes"
+                for l in exponents:
+                    for signed in (l, -l):
+                        assert has_fixed_cylinder(pair, v, signed, 256).value != "yes"
+        else:
+            # the named power fixes a cylinder: the search never refutes it
+            w, l = escape_witness(escape)
+            result = has_fixed_cylinder(pair, w, l, 4096).value
+            assert result != "no"
+            witnessed += 1
+            confirmed += result == "yes"
+        verdict = topological_freeness(pair)
         if not satisfies_condition_l(pair):
             assert verdict.value == "no"
-        rep = analyze(pair, caps)
+        else:
+            assert verdict.value == escape.value
+        rep = analyze(pair)
         if rep.simple.value == "yes":
             assert rep.minimal.value == "yes" and rep.condition_l.value == "yes"
         if rep.purely_infinite_simple.value == "yes":
@@ -375,7 +391,12 @@ def test_criterion_08_essential_principality_bridge():
         if rep.topologically_free.value == "yes":
             assert rep.essentially_principal.value == "yes"
         assert rep.essentially_principal.value == rep.topologically_free.value
-    print("\nACCEPTANCE 8: PASS - 50 condition-E pairs: freeness, probes, and consistency agree")
+    assert confirmed >= 0.9 * witnessed
+    print(
+        f"\nACCEPTANCE 8: PASS - 50 condition-E pairs: exact escape agrees with the"
+        f" fixed-cylinder search ({confirmed} of {witnessed} witnesses confirmed), freeness"
+        " and consistency agree"
+    )
 
 
 def test_criterion_09_realization_certificates():

@@ -73,6 +73,13 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["simple"]["value"] == "no"
 
+    def test_cap_flags_removed(self, capsys, e1_file):
+        with pytest.raises(SystemExit):
+            main(["analyze", e1_file, "--depth-cap", "8"])
+        with pytest.raises(SystemExit):
+            main(["analyze", e1_file, "--probe-l", "2"])
+        capsys.readouterr()
+
     def test_strict_unknown_exit(self, capsys, tmp_path):
         p = tmp_path / "b0.json"
         p.write_text('{"N":1,"A":[[2]],"B":[[0]]}')
@@ -184,6 +191,25 @@ class TestActionCommands:
             capsys, "germ-eq", "q(1)", "q(1)", e1_file, "--at", "[] ~ [(1,1,1)]"
         )
         assert code == 0 and out.strip() == "equal"
+
+
+class TestNegativeDepth:
+    def assert_rejected(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["kind"] == "parse"
+
+    def test_act_depth(self, capsys, d2_file):
+        self.assert_rejected(capsys, "act", "u(1)", "[] ~ [(1,1,1)]", d2_file, "--depth", "-1")
+
+    def test_fixedpoint_depth(self, capsys, d2_file):
+        self.assert_rejected(capsys, "fixedpoint", "s(1,1,1).u(1)", d2_file, "--depth", "-3")
+
+    def test_germ_eq_depth_cap(self, capsys, e1_file):
+        self.assert_rejected(
+            capsys, "germ-eq", "q(1)", "q(1)", e1_file, "--at", "[] ~ [(1,1,1)]", "--depth-cap", "-1"
+        )
 
 
 class TestMissingFile:

@@ -3,23 +3,27 @@ import random
 import pytest
 
 from katsura.decisions import (
-    Caps,
     Verdict,
     analyze,
     fixed_point_escape,
     katsura_classic_check,
     locally_contracting,
     minimality,
-    probe_exponents,
     pure_infiniteness,
     simplicity,
     topological_freeness,
 )
 from katsura.errors import StructuralError
-from katsura.matrices import MatrixPair, satisfies_condition_l
+from katsura.matrices import (
+    MatrixPair,
+    every_path_extends_to_cycle,
+    is_irreducible,
+    satisfies_condition_k,
+    satisfies_condition_l,
+)
 from katsura.pathspace import has_fixed_cylinder
 
-from conftest import random_pair
+from conftest import cycle_ratio_denominators, escape_witness, random_pair
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
 FLIP = MatrixPair.from_rows([[0, 1], [1, 0]], [[0, 1], [1, 0]])
@@ -65,6 +69,10 @@ class TestTopologicalFreeness:
 class TestSimplicity:
     def test_yes_pipeline(self):
         assert simplicity(E1).value == "yes"
+
+    def test_yes_when_one_valuation_contracts(self):
+        # ratio 3/2 around the loop: the exponent of 2 drops on every turn
+        assert simplicity(MatrixPair.from_rows([[2]], [[3]])).value == "yes"
 
     def test_no_via_condition_l(self):
         assert simplicity(FLIP).value == "no"
@@ -169,22 +177,71 @@ class TestAnalyze:
 
 
 class TestProbes:
-    def test_probe_exponents_include_denominators(self):
-        # loop ratio 1/2 contributes denominator 2 even with probe cap 1
-        probes = probe_exponents(E1, Caps(probe_exponent=1))
-        assert 2 in probes and -2 in probes
-
     def test_freeness_yes_means_no_probe_hits(self):
+        # the exact Yes must survive a bounded search from every vertex, at
+        # small exponents and at every cycle-ratio denominator
         rng = random.Random(74)
-        caps = Caps()
+        checked = 0
         for _ in range(50):
             pair = random_pair(rng, n_max=3, a_max=2, ensure_e=True)
-            verdict = topological_freeness(pair, caps)
-            if verdict.value != "yes":
+            if fixed_point_escape(pair).value != "yes":
                 continue
+            checked += 1
+            if satisfies_condition_l(pair):
+                assert topological_freeness(pair).value == "yes"
+            exponents = set(range(1, 13)) | cycle_ratio_denominators(pair)
             for v in pair.vertices:
-                for l in probe_exponents(pair, caps):
-                    assert has_fixed_cylinder(pair, v, l, caps.state_cap).value != "yes"
+                for l in exponents:
+                    for signed in (l, -l):
+                        assert has_fixed_cylinder(pair, v, signed, 256).value != "yes", (pair, v, signed)
+        assert checked >= 20
+
+    def test_escape_no_witness_fixes_a_cylinder(self):
+        rng = random.Random(76)
+        confirmed = named = 0
+        for _ in range(80):
+            pair = random_pair(rng, n_max=3, a_max=3, ensure_e=True)
+            verdict = fixed_point_escape(pair)
+            assert verdict.value in ("yes", "no")
+            if verdict.value != "no":
+                continue
+            named += 1
+            w, l = escape_witness(verdict)
+            result = has_fixed_cylinder(pair, w, l, 4096).value
+            assert result != "no", (pair, w, l)
+            confirmed += result == "yes"
+        assert named >= 10 and confirmed >= 0.9 * named
+
+    def test_zero_b_entry_names_its_arc(self):
+        pair = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 0], [1, 1]])
+        verdict = fixed_point_escape(pair)
+        assert verdict.value == "no" and "[(1,2,1)]" in verdict.reasons[0].text
+        assert escape_witness(verdict) == (1, 1)
+        assert has_fixed_cylinder(pair, 1, 1).value == "yes"
+
+    def test_entry_basis_sees_cancelling_ratios(self):
+        # A = 6 on a 2-cycle, B = 4 and 9: the ratio product is 1, so some
+        # power fixes everything, though 6 alone divides neither B-entry
+        pair = MatrixPair.from_rows([[0, 6], [6, 0]], [[0, 4], [9, 0]])
+        verdict = fixed_point_escape(pair)
+        assert verdict.value == "no"
+        w, l = escape_witness(verdict)
+        assert has_fixed_cylinder(pair, w, l).value == "yes"
+
+    def test_witness_exponent_is_least_walk_weight(self):
+        # chain 1 -> 2 -> ... -> 5 halving at every step, ending in a unit
+        # loop: no walk contracts forever, and the walk from 1 into the loop
+        # divides by 2^4, which only u(1)^16 survives
+        k = 5
+        a = [[0] * k for _ in range(k)]
+        b = [[0] * k for _ in range(k)]
+        for i in range(k - 1):
+            a[i][i + 1], b[i][i + 1] = 2, 1
+        a[k - 1][k - 1] = b[k - 1][k - 1] = 1
+        pair = MatrixPair.from_rows(a, b)
+        assert escape_witness(fixed_point_escape(pair)) == (1, 16)
+        assert has_fixed_cylinder(pair, 1, 16).value == "yes"
+        assert has_fixed_cylinder(pair, 1, 8).value == "no"
 
     def test_escape_no_forces_freeness_no(self):
         rng = random.Random(75)
@@ -194,3 +251,34 @@ class TestProbes:
                 continue
             if fixed_point_escape(pair).value == "no":
                 assert topological_freeness(pair).value == "no"
+
+
+def long_cycle(n, chord=False):
+    """The bare n-cycle with unit entries; the chord 1 -> 3 carries A = 2,
+    B = 1, so walks through it halve the trace."""
+    a = [[0] * n for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][(i + 1) % n] = b[i][(i + 1) % n] = 1
+    if chord:
+        a[0][2], b[0][2] = 2, 1
+    return MatrixPair.from_rows(a, b)
+
+
+class TestLongCycle:
+    # deeper than the interpreter's default recursion limit
+    N = 1100
+
+    def test_bare(self):
+        pair = long_cycle(self.N)
+        assert is_irreducible(pair)
+        assert not satisfies_condition_k(pair)
+        assert every_path_extends_to_cycle(pair)
+        assert escape_witness(fixed_point_escape(pair)) == (1, 1)
+
+    def test_with_chord(self):
+        pair = long_cycle(self.N, chord=True)
+        assert is_irreducible(pair)
+        assert satisfies_condition_k(pair)
+        assert every_path_extends_to_cycle(pair)
+        assert fixed_point_escape(pair).value == "yes"

@@ -8,13 +8,13 @@ from katsura.matrices import (
     MatrixPair,
     enumerate_simple_cycles,
     every_path_extends_to_cycle,
-    graph_of,
     is_irreducible,
     is_transitory,
     satisfies_condition_e,
     satisfies_condition_k,
     satisfies_condition_l,
     simple_vertex_cycles,
+    strongly_connected_components,
     validate,
 )
 
@@ -69,8 +69,9 @@ class TestConditionE:
         assert not satisfies_condition_e(pair_of([[n]], [[0]]))
 
 
-def brute_irreducible(pair):
-    """Boolean reachability closure: sum_{k=1..N} support^k positive everywhere."""
+def brute_reach(pair):
+    """Boolean reachability closure: reach[i][j] iff sum_{k=1..N} support^k
+    is positive at (i, j), 0-based."""
     n = pair.n
     adj = [[pair.a_at(i + 1, j + 1) >= 1 for j in range(n)] for i in range(n)]
     reach = [row[:] for row in adj]
@@ -81,7 +82,11 @@ def brute_irreducible(pair):
             for i in range(n)
         ]
         reach = [[reach[i][j] or power[i][j] for j in range(n)] for i in range(n)]
-    return all(all(row) for row in reach)
+    return reach
+
+
+def brute_irreducible(pair):
+    return all(all(row) for row in brute_reach(pair))
 
 
 class TestIrreducible:
@@ -99,6 +104,20 @@ class TestIrreducible:
         for _ in range(200):
             pair = random_pair(rng, n_max=6, a_max=2)
             assert is_irreducible(pair) == brute_irreducible(pair)
+
+    def test_components_against_reachability_closure(self):
+        # two vertices share a component iff each reaches the other
+        rng = random.Random(17)
+        for _ in range(200):
+            pair = random_pair(rng, n_max=6, a_max=2)
+            reach = brute_reach(pair)
+            components = strongly_connected_components(pair)
+            assert sorted(v for c in components for v in c) == list(pair.vertices)
+            component = {v: c for c, members in enumerate(components) for v in members}
+            for i in pair.vertices:
+                for j in pair.vertices:
+                    mutual = i == j or (reach[i - 1][j - 1] and reach[j - 1][i - 1])
+                    assert (component[i] == component[j]) == mutual
 
 
 def oracle_condition_l(pair):
@@ -261,13 +280,12 @@ class TestGraph:
         rng = random.Random(16)
         for _ in range(50):
             pair = random_pair(rng, n_max=4, a_max=3)
-            graph = graph_of(pair)
-            assert len(graph.edges) == sum(x for row in pair.a for x in row)
-            assert all(1 <= n <= pair.a_at(i, j) for i, j, n in graph.edges)
+            edges = pair.edges()
+            assert len(edges) == sum(x for row in pair.a for x in row)
+            assert all(1 <= n <= pair.a_at(i, j) for i, j, n in edges)
 
     def test_offsets_enumerate_multiplicity(self):
-        graph = graph_of(E1)
-        assert graph.edges == ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2))
+        assert E1.edges() == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
 
 
 class TestPathExtension:
@@ -279,3 +297,15 @@ class TestPathExtension:
 
     def test_single_loop(self):
         assert every_path_extends_to_cycle(pair_of([[1]], [[1]]))
+
+    def test_against_reachability_closure(self):
+        # every reachable vertex reaches back
+        rng = random.Random(18)
+        for _ in range(200):
+            pair = random_pair(rng, n_max=6, a_max=2)
+            reach = brute_reach(pair)
+            n = pair.n
+            expected = all(
+                reach[j][i] for i in range(n) for j in range(n) if reach[i][j]
+            )
+            assert every_path_extends_to_cycle(pair) == expected
