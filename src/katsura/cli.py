@@ -213,9 +213,27 @@ def _cmd_germ_eq(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as the one-line JSON parse error."""
+
+    def error(self, message: str):
+        self.exit(_fail("parse", f"{self.prog}: {message}", EXIT_PARSE))
+
+
+def _count(text: str) -> int:
+    """A nonnegative integer flag value."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="katsura", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
+    top = _Parser(prog="katsura", description=__doc__)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("validate", help="check a matrix file")
     p.add_argument("file")
@@ -259,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("path")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=16)
+    p.add_argument("--depth", type=_count, default=16)
     p.set_defaults(func=_cmd_act)
 
     p = sub.add_parser("fixedpoint", help="prefix of the unique fixed point of an element")
     p.add_argument("expr")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_count, required=True)
     p.set_defaults(func=_cmd_fixedpoint)
 
     p = sub.add_parser("germ-eq", help="compare two germs at a point")
@@ -273,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("file")
     p.add_argument("--at", required=True, metavar="PATH")
-    p.add_argument("--depth-cap", type=int, default=32)
+    p.add_argument("--depth-cap", type=_count, default=32)
     p.set_defaults(func=_cmd_germ_eq)
 
     return top
@@ -281,12 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    for flag in ("depth", "depth_cap"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            return _fail(
-                "parse", f"--{flag.replace('_', '-')} must be >= 0, got {value}", EXIT_PARSE
-            )
     try:
         return args.func(args)
     except ExprParseError as exc:
@@ -301,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("structural", str(exc), EXIT_SEMANTIC)
     except KatsuraError as exc:
         return _fail("domain", str(exc), EXIT_SEMANTIC)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail("io", str(exc), EXIT_SEMANTIC)
 
 

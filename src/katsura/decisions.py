@@ -9,11 +9,10 @@ undecided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import matrices
 from .errors import StructuralError
-from .ktheory import KTheoryResult, k_groups
+from .ktheory import KTheoryResult, _coprime_basis, _valuation, k_groups
 from .matrices import MatrixPair
 
 
@@ -70,42 +69,7 @@ def _minimality(irreducible: bool) -> Verdict:
 
 def minimality(pair: MatrixPair) -> Verdict:
     """Exact: the action is minimal iff A is irreducible."""
-    return _minimality(matrices.is_irreducible(pair))
-
-
-def _coprime_basis(numbers) -> list[int]:
-    """Pairwise coprime integers > 1 over which every nonzero number factors.
-
-    Repeated gcd splitting: a number sharing a factor g with a basis element
-    b replaces b by b/g, g and itself by x/g.  The product of everything
-    pending drops by g at each split, so it terminates; nothing is factored
-    into primes.  (Bernstein 2005 computes the same basis in near-linear
-    time.)
-    """
-    basis: list[int] = []
-    pending = sorted({abs(x) for x in numbers})
-    while pending:
-        x = pending.pop()
-        if x <= 1:
-            continue
-        for k, b in enumerate(basis):
-            g = gcd(x, b)
-            if g > 1:
-                del basis[k]
-                pending += (b // g, g, x // g)
-                break
-        else:
-            basis.append(x)
-    return basis
-
-
-def _valuation(x: int, q: int) -> int:
-    """Exponent of q in a nonzero x that factors over a coprime basis holding q."""
-    e = 0
-    while x % q == 0:
-        x //= q
-        e += 1
-    return e
+    return _minimality(matrices.graph_facts(pair).irreducible)
 
 
 def fixed_point_escape(pair: MatrixPair) -> Verdict:
@@ -175,30 +139,13 @@ def fixed_point_escape(pair: MatrixPair) -> Verdict:
     return _no("fixed-cylinder", f"u({w})^{l} fixes the whole cylinder of vertex {w}")
 
 
-@dataclass(frozen=True)
-class _PairFacts:
-    """The graph facts the freeness and simplicity verdicts share, computed
-    once.  The escape verdict exists only where some verdict reads it: under
-    conditions (E) and (L)."""
-
-    condition_e: bool
-    condition_l: bool
-    irreducible: bool
-    escape: Verdict | None
+def _escape(pair: MatrixPair, facts: matrices.GraphFacts) -> Verdict | None:
+    """The escape verdict where some verdict reads it: under conditions (E)
+    and (L)."""
+    return fixed_point_escape(pair) if facts.condition_e and facts.condition_l else None
 
 
-def _pair_facts(pair: MatrixPair) -> _PairFacts:
-    cond_e = matrices.satisfies_condition_e(pair)
-    cond_l = matrices.satisfies_condition_l(pair)
-    return _PairFacts(
-        cond_e,
-        cond_l,
-        matrices.is_irreducible(pair),
-        fixed_point_escape(pair) if cond_e and cond_l else None,
-    )
-
-
-def _freeness(facts: _PairFacts) -> Verdict:
+def _freeness(facts: matrices.GraphFacts, escape: Verdict | None) -> Verdict:
     if not facts.condition_l:
         return _no("condition-L-fails", "an exit-free cycle makes its fixed point isolated")
     if not facts.condition_e:
@@ -206,22 +153,23 @@ def _freeness(facts: _PairFacts) -> Verdict:
             "condition-E-fails",
             "a vanishing B-entry on the support yields a fixed cylinder",
         )
-    if facts.escape.is_no:
-        return Verdict("no", facts.escape.reasons)
+    if escape.is_no:
+        return Verdict("no", escape.reasons)
     return Verdict(
         "yes",
         (
             Reason("condition-L", "every cycle has an exit"),
             Reason("condition-E", "B nonzero on the support"),
         )
-        + facts.escape.reasons,
+        + escape.reasons,
     )
 
 
 def topological_freeness(pair: MatrixPair) -> Verdict:
     """Exact verdict on topological freeness of the action: condition (L),
     condition (E) and the fixed-point escape condition."""
-    return _freeness(_pair_facts(pair))
+    facts = matrices.graph_facts(pair)
+    return _freeness(facts, _escape(pair, facts))
 
 
 _FIXED_POINT_READING = Reason(
@@ -231,7 +179,7 @@ _FIXED_POINT_READING = Reason(
 )
 
 
-def _simplicity(facts: _PairFacts) -> Verdict:
+def _simplicity(facts: matrices.GraphFacts, escape: Verdict | None) -> Verdict:
     if not facts.condition_e:
         return Verdict(
             "unknown",
@@ -252,8 +200,8 @@ def _simplicity(facts: _PairFacts) -> Verdict:
             "no",
             (Reason("condition-L-fails", "an exit-free cycle obstructs freeness"), _FIXED_POINT_READING),
         )
-    if facts.escape.is_no:
-        return Verdict("no", facts.escape.reasons + (_FIXED_POINT_READING,))
+    if escape.is_no:
+        return Verdict("no", escape.reasons + (_FIXED_POINT_READING,))
     return Verdict(
         "yes",
         (
@@ -261,7 +209,7 @@ def _simplicity(facts: _PairFacts) -> Verdict:
             Reason("condition-L", "every cycle has an exit"),
             Reason("condition-E", "B nonzero on the support"),
         )
-        + facts.escape.reasons
+        + escape.reasons
         + (_FIXED_POINT_READING,),
     )
 
@@ -270,14 +218,12 @@ def simplicity(pair: MatrixPair) -> Verdict:
     """Under the nonvanishing condition on B, simplicity is equivalent to
     irreducibility + every cycle having an exit + the fixed-point escape
     condition.  Without it the characterization is unavailable."""
-    return _simplicity(_pair_facts(pair))
+    facts = matrices.graph_facts(pair)
+    return _simplicity(facts, _escape(pair, facts))
 
 
-def locally_contracting(pair: MatrixPair) -> Verdict:
-    """Sufficient only: every finite path enlarges to a cycle and every cycle
-    has an exit."""
-    extends = matrices.every_path_extends_to_cycle(pair)
-    cond_l = matrices.satisfies_condition_l(pair)
+def _locally_contracting(facts: matrices.GraphFacts) -> Verdict:
+    extends, cond_l = facts.paths_extend, facts.condition_l
     if extends and cond_l:
         return Verdict(
             "yes",
@@ -293,6 +239,12 @@ def locally_contracting(pair: MatrixPair) -> Verdict:
         tags.append(Reason("condition-L-fails", "an exit-free cycle exists"))
     tags.append(Reason("sufficiency-only", "the criterion is sufficient, not necessary"))
     return Verdict("unknown", tuple(tags))
+
+
+def locally_contracting(pair: MatrixPair) -> Verdict:
+    """Sufficient only: every finite path enlarges to a cycle and every cycle
+    has an exit."""
+    return _locally_contracting(matrices.graph_facts(pair))
 
 
 def _pure_infiniteness(simple: Verdict) -> Verdict:
@@ -315,9 +267,8 @@ def pure_infiniteness(pair: MatrixPair) -> Verdict:
 def katsura_classic_check(pair: MatrixPair) -> Verdict:
     """The classical sufficient conditions: A irreducible with A[i][i] >= 2
     and B[i][i] = 1 everywhere."""
-    matrices.require_valid(pair)
     problems = []
-    if not matrices.is_irreducible(pair):
+    if not matrices.graph_facts(pair).irreducible:
         problems.append(Reason("not-irreducible", "A is not irreducible"))
     for i in pair.vertices:
         if pair.a_at(i, i) < 2:
@@ -367,11 +318,11 @@ def _check_consistency(report: AnalysisReport) -> None:
 
 def analyze(pair: MatrixPair) -> AnalysisReport:
     """Full report; raises StructuralError if the pair is invalid."""
-    matrices.require_valid(pair)
-    facts = _pair_facts(pair)
+    facts = matrices.graph_facts(pair)
+    escape = _escape(pair, facts)
     minimal = _minimality(facts.irreducible)
-    top_free = _freeness(facts)
-    simple = _simplicity(facts)
+    top_free = _freeness(facts, escape)
+    simple = _simplicity(facts, escape)
     if facts.condition_e:
         ess_principal = top_free
         hausdorff = _yes("condition-E", "all elements epic, so germs separate")
@@ -405,7 +356,7 @@ def analyze(pair: MatrixPair) -> AnalysisReport:
             "some cycle of the edge graph is exit-free",
         ),
         condition_k=_bool_verdict(
-            matrices.satisfies_condition_k(pair),
+            facts.condition_k,
             "condition-K",
             "every cycle vertex bases at least two cycles",
             "some cycle vertex bases exactly one cycle",
@@ -415,7 +366,7 @@ def analyze(pair: MatrixPair) -> AnalysisReport:
         essentially_principal=ess_principal,
         hausdorff=hausdorff,
         simple=simple,
-        locally_contracting=locally_contracting(pair),
+        locally_contracting=_locally_contracting(facts),
         purely_infinite_simple=_pure_infiniteness(simple),
         nuclear=_yes("always", "the algebra is nuclear for every admissible pair"),
         etale=_yes("always", "the germ groupoid is etale with second countable unit space"),

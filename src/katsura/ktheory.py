@@ -7,8 +7,10 @@ Everything is plain Python integers; no precision limits apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+
 from .errors import CertificationError, StructuralError, UnrealizableWithSquareMatrices
-from .matrices import MatrixPair, is_irreducible, satisfies_condition_e
+from .matrices import MatrixPair, graph_facts
 
 Matrix = list[list[int]]
 
@@ -144,35 +146,63 @@ class AbelianGroup:
         return self.free_rank == 0 and not self.torsion
 
 
-def _prime_factors(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _coprime_basis(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 over which every nonzero number factors.
+
+    Repeated gcd splitting: a number sharing a factor g with a basis element
+    b replaces b by b/g, g and itself by x/g.  The product of everything
+    pending drops by g at each split, so it terminates; nothing is factored
+    into primes.  (Bernstein 2005 computes the same basis in near-linear
+    time.)
+    """
+    basis: list[int] = []
+    pending = sorted({abs(x) for x in numbers})
+    while pending:
+        x = pending.pop()
+        if x <= 1:
+            continue
+        for k, b in enumerate(basis):
+            g = gcd(x, b)
+            if g > 1:
+                del basis[k]
+                pending += (b // g, g, x // g)
+                break
+        else:
+            basis.append(x)
+    return basis
+
+
+def _valuation(x: int, q: int) -> int:
+    """Exponent of q in a nonzero x that factors over a coprime basis holding q."""
+    e = 0
+    while x % q == 0:
+        x //= q
+        e += 1
+    return e
 
 
 def abelian_group(free_rank: int, cyclic_orders: list[int]) -> AbelianGroup:
-    """Normalize a direct sum of cyclic summands into invariant factor form."""
-    by_prime: dict[int, list[int]] = {}
+    """Normalize a direct sum of cyclic summands into invariant factor form.
+
+    The exponents are grouped per element of a coprime basis of the orders
+    rather than per prime: each prime divides exactly one basis element q,
+    and its exponent in every order is v_q of the order times its exponent
+    in q, so both groupings give the same invariant factors.
+    """
     for d in cyclic_orders:
         if d < 1:
             raise StructuralError(f"cyclic order {d} must be positive")
-        for p, e in _prime_factors(d).items():
-            by_prime.setdefault(p, []).append(e)
-    width = max((len(v) for v in by_prime.values()), default=0)
+    by_element = {
+        q: sorted((e for e in (_valuation(d, q) for d in cyclic_orders) if e), reverse=True)
+        for q in _coprime_basis(cyclic_orders)
+    }
+    width = max((len(v) for v in by_element.values()), default=0)
     factors = []
     for k in range(width):
         f = 1
-        for p, exps in by_prime.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if k < len(exps_sorted):
-                f *= p ** exps_sorted[k]
+        for q, exps in by_element.items():
+            if k < len(exps):
+                f *= q ** exps[k]
         factors.append(f)
     chain = tuple(sorted(f for f in factors if f > 1))
     return AbelianGroup(free_rank, chain)
@@ -184,12 +214,6 @@ def cokernel(m: Matrix) -> AbelianGroup:
     free = sum(1 for d in diag if d == 0) + zero_rows
     torsion = tuple(sorted(d for d in diag if d >= 2))
     return AbelianGroup(free, torsion)
-
-
-def kernel_rank(m: Matrix) -> int:
-    diag = smith_normal_form(m).diagonal()
-    extra_cols = len(m[0]) - len(m) if len(m[0]) > len(m) else 0
-    return sum(1 for d in diag if d == 0) + extra_cols
 
 
 @dataclass(frozen=True)
@@ -204,14 +228,14 @@ def _i_minus(m: tuple[tuple[int, ...], ...]) -> Matrix:
 
 
 def k_groups(pair: MatrixPair) -> KTheoryResult:
-    """K_0 = coker(I-A) + ker(I-B),  K_1 = coker(I-B) + ker(I-A)."""
-    ia, ib = _i_minus(pair.a), _i_minus(pair.b)
-    ca, cb = cokernel(ia), cokernel(ib)
-    ka, kb = kernel_rank(ia), kernel_rank(ib)
-    return KTheoryResult(
-        k0=AbelianGroup(ca.free_rank + kb, ca.torsion),
-        k1=AbelianGroup(cb.free_rank + ka, cb.torsion),
-    )
+    """K_0 = coker(I-A) + ker(I-B),  K_1 = coker(I-B) + ker(I-A).
+
+    One Smith form per matrix: I - A and I - B are square, so the rank of
+    each kernel is the free rank of the same matrix's cokernel (the zeros on
+    its Smith diagonal)."""
+    ca, cb = cokernel(_i_minus(pair.a)), cokernel(_i_minus(pair.b))
+    free = ca.free_rank + cb.free_rank
+    return KTheoryResult(k0=AbelianGroup(free, ca.torsion), k1=AbelianGroup(free, cb.torsion))
 
 
 @dataclass(frozen=True)
@@ -274,11 +298,12 @@ def realize(g0: AbelianGroup, g1: AbelianGroup) -> Realization:
 
     pair = MatrixPair.from_rows(a, b)
     result = k_groups(pair)
+    facts = graph_facts(pair)
     cert = Realization(
         pair=pair,
         result=result,
-        condition_e=satisfies_condition_e(pair),
-        irreducible=is_irreducible(pair),
+        condition_e=facts.condition_e,
+        irreducible=facts.irreducible,
         diagonal_conditions=all(
             pair.a_at(i, i) >= 2 and pair.b_at(i, i) == 1 for i in pair.vertices
         ),

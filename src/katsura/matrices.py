@@ -119,12 +119,6 @@ def require_valid(pair: MatrixPair) -> None:
         raise StructuralError("invalid pair: " + "; ".join(report.violations))
 
 
-def satisfies_condition_e(pair: MatrixPair) -> bool:
-    """B vanishes exactly off the support of A: B[i][j] != 0 wherever A[i][j] >= 1."""
-    require_valid(pair)
-    return all(pair.b_at(i, j) != 0 for i in pair.vertices for j in pair.out_vertices(i))
-
-
 def _reachable_from(pair: MatrixPair, start: int) -> set[int]:
     """Vertices reachable from `start` by paths of length >= 1 over the support."""
     seen: set[int] = set()
@@ -140,27 +134,30 @@ def _reachable_from(pair: MatrixPair, start: int) -> set[int]:
     return seen
 
 
-def strongly_connected_components(pair: MatrixPair) -> list[tuple[int, ...]]:
-    """Strongly connected components of the support digraph, each sorted,
+def _successors(pair: MatrixPair) -> tuple[tuple[int, ...], ...]:
+    """The row sections of the support: entry i - 1 lists the out-vertices of i."""
+    return tuple(tuple(j for j, x in enumerate(row, 1) if x) for row in pair.a)
+
+
+def _tarjan(succ: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """Strongly connected components of the digraph `succ`, each sorted,
     listed sinks first.
 
     Tarjan's algorithm with an explicit stack in place of recursion, so the
     depth of the digraph is not bounded by the interpreter's stack.
     """
-    require_valid(pair)
-    succ = {i: pair.out_vertices(i) for i in pair.vertices}
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     stack: list[int] = []
     on_stack: set[int] = set()
     components: list[tuple[int, ...]] = []
-    for root in pair.vertices:
+    for root in range(1, len(succ) + 1):
         if root in index:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(succ[root - 1]))]
         while work:
             v, successors = work[-1]
             for w in successors:
@@ -168,7 +165,7 @@ def strongly_connected_components(pair: MatrixPair) -> list[tuple[int, ...]]:
                     index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(succ[w])))
+                    work.append((w, iter(succ[w - 1])))
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index[w])
@@ -189,85 +186,91 @@ def strongly_connected_components(pair: MatrixPair) -> list[tuple[int, ...]]:
     return components
 
 
-def _component_of(components: list[tuple[int, ...]]) -> dict[int, int]:
-    return {v: c for c, members in enumerate(components) for v in members}
+def strongly_connected_components(pair: MatrixPair) -> list[tuple[int, ...]]:
+    """Strongly connected components of the support digraph, each sorted,
+    listed sinks first."""
+    require_valid(pair)
+    return _tarjan(_successors(pair))
 
 
-def is_irreducible(pair: MatrixPair) -> bool:
-    """True iff the support digraph is strongly connected (a positive-length
-    path between every ordered pair of vertices).  A valid pair has no zero
-    row, so a single component has a cycle through every vertex."""
-    return len(strongly_connected_components(pair)) == 1
+@dataclass(frozen=True)
+class GraphFacts:
+    """The graph conditions on a valid pair, read off one scan of the rows
+    and one strongly-connected-components pass."""
+
+    condition_e: bool  # B[i][j] != 0 wherever A[i][j] >= 1
+    condition_l: bool  # every cycle of the edge graph has an exit
+    condition_k: bool  # every vertex on a cycle is the base of two distinct cycles
+    irreducible: bool  # a positive-length path joins every ordered pair of vertices
+    paths_extend: bool  # whenever j is reachable from i, i is reachable from j
 
 
-def satisfies_condition_l(pair: MatrixPair) -> bool:
-    """Every cycle of the edge graph has an exit.
+def graph_facts(pair: MatrixPair) -> GraphFacts:
+    """Validate the pair once and compute its graph conditions together.
 
-    A cycle is exit-free exactly when each of its vertices has a single
-    outgoing arc in the support carrying A-entry 1, so it suffices to look
-    for a cycle inside the sub-digraph of such deterministic vertices.
+    Call a component bare when it has internal arcs and every member has
+    exactly one out-arc inside it, carrying A-entry 1.  A vertex on a cycle
+    bases exactly one first-return path iff its component is bare, so
+    condition K fails exactly on a bare component.  An exit-free cycle is a
+    cycle whose vertices each emit one edge; nothing leaves it, so it is a
+    whole component, and condition L fails exactly on a bare component with
+    no arc leaving it.  Irreducibility is a single component (a valid pair
+    has no zero row, so it has a cycle through every vertex), and paths
+    extend to cycles iff no support arc leaves its component.
     """
     require_valid(pair)
-    succ: dict[int, int] = {}
-    for i in pair.vertices:
-        outs = pair.out_vertices(i)
-        if len(outs) == 1 and pair.a_at(i, outs[0]) == 1:
-            succ[i] = outs[0]
-    # cycle detection in the partial functional graph `succ`
-    state: dict[int, int] = {}  # 0 = on stack, 1 = done
-    for root in succ:
-        if state.get(root) == 1:
-            continue
-        chain = []
-        v = root
-        while v in succ and v not in state:
-            state[v] = 0
-            chain.append(v)
-            v = succ[v]
-        if v in state and state[v] == 0:
-            return False  # closed a deterministic unit cycle: exit-free
-        for u in chain:
-            state[u] = 1
-    return True
-
-
-def satisfies_condition_k(pair: MatrixPair) -> bool:
-    """Every vertex lying on a cycle is the base of at least two distinct cycles.
-
-    A vertex on a cycle bases exactly one first-return path iff its component
-    is a bare cycle: every member has exactly one out-arc inside the
-    component, and that arc carries A-entry 1.
-    """
-    components = strongly_connected_components(pair)
-    component = _component_of(components)
+    succ = _successors(pair)
+    components = _tarjan(succ)
+    component = [0] * (pair.n + 1)
     for c, members in enumerate(components):
-        inner = [[j for j in pair.out_vertices(v) if component[j] == c] for v in members]
+        for v in members:
+            component[v] = c
+    condition_l = condition_k = True
+    for c, members in enumerate(components):
+        inner = [[j for j in succ[v - 1] if component[j] == c] for v in members]
         if any(inner) and all(
-            len(js) == 1 and pair.a_at(v, js[0]) == 1 for v, js in zip(members, inner)
+            len(js) == 1 and pair.a[v - 1][js[0] - 1] == 1 for v, js in zip(members, inner)
         ):
-            return False
-    return True
+            condition_k = False
+            if all(len(succ[v - 1]) == 1 for v in members):
+                condition_l = False
+    return GraphFacts(
+        condition_e=all(b_row[j - 1] != 0 for b_row, js in zip(pair.b, succ) for j in js),
+        condition_l=condition_l,
+        condition_k=condition_k,
+        irreducible=len(components) == 1,
+        paths_extend=all(
+            component[i] == component[j] for i, js in enumerate(succ, 1) for j in js
+        ),
+    )
 
 
 def simple_vertex_cycles(pair: MatrixPair, max_len: int | None = None) -> list[tuple[int, ...]]:
     """Vertex-simple cycles of the support digraph as vertex tuples, one per
-    rotation class, rooted at their minimal vertex."""
+    rotation class, rooted at their minimal vertex.
+
+    Depth-first over paths with an explicit stack, one successor iterator
+    per path vertex, so a long cycle does not hit the recursion limit."""
     require_valid(pair)
     cap = pair.n if max_len is None else min(max_len, pair.n)
+    succ = _successors(pair)
     out: list[tuple[int, ...]] = []
-
-    def extend(root: int, path: list[int]) -> None:
-        u = path[-1]
-        for w in pair.out_vertices(u):
-            if w == root:
-                out.append(tuple(path))
-            elif w > root and w not in path and len(path) < cap:
-                path.append(w)
-                extend(root, path)
-                path.pop()
-
     for root in pair.vertices:
-        extend(root, [root])
+        path = [root]
+        on_path = {root}
+        work = [iter(succ[root - 1])]
+        while work:
+            for w in work[-1]:
+                if w == root:
+                    out.append(tuple(path))
+                elif w > root and w not in on_path and len(path) < cap:
+                    path.append(w)
+                    on_path.add(w)
+                    work.append(iter(succ[w - 1]))
+                    break
+            else:
+                work.pop()
+                on_path.discard(path.pop())
     return out
 
 
@@ -327,13 +330,3 @@ def is_transitory(pair: MatrixPair, cycle: Cycle) -> bool:
                 if w in on_cycle or _reachable_from(pair, w) & on_cycle:
                     return False
     return True
-
-
-def every_path_extends_to_cycle(pair: MatrixPair) -> bool:
-    """True iff reachability is symmetric: whenever j is reachable from i,
-    i is reachable from j (so any finite path closes up into a cycle).
-    That holds iff no support arc leaves its strongly connected component."""
-    component = _component_of(strongly_connected_components(pair))
-    return all(
-        component[i] == component[j] for i in pair.vertices for j in pair.out_vertices(i)
-    )

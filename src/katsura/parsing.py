@@ -176,12 +176,19 @@ def _parse_isg_factor(sc: _Scanner, pair: MatrixPair, text: str) -> ISgElement:
 
 
 def _isg_power(pair: MatrixPair, elem: ISgElement, k: int) -> ISgElement:
+    """elem^k by repeated squaring over the bits of |k|, most significant
+    first; elem^0 is its source projection and a negative power is a power
+    of the adjoint."""
     if isinstance(elem, Zero):
         return ZERO
-    base = elem if k >= 0 else isg.star(elem)
-    out: ISgElement = isg.source_projection(pair, elem) if k == 0 else base
-    for _ in range(abs(k) - 1):
-        out = isg.multiply(pair, out, base)
+    if k == 0:
+        return isg.source_projection(pair, elem)
+    base = elem if k > 0 else isg.star(elem)
+    out = base
+    for bit in bin(abs(k))[3:]:
+        out = isg.multiply(pair, out, out)
+        if bit == "1":
+            out = isg.multiply(pair, out, base)
     return out
 
 
@@ -337,7 +344,10 @@ def format_group(grp: AbelianGroup) -> str:
 
 def parse_matrix_file(data: bytes | str) -> MatrixPair:
     """Load {"N": int, "A": [[int]], "B": [[int]]}; the pair is validated."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise ExprParseError(exc.start, "UTF-8 text", data.decode("utf-8", "replace")) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -22,7 +22,7 @@ from katsura.invsemigroup import (
     triple,
 )
 from katsura.ktheory import AbelianGroup, k_groups, mat_mul, realize, smith_normal_form
-from katsura.matrices import MatrixPair, satisfies_condition_l
+from katsura.matrices import MatrixPair, graph_facts
 from katsura.parsing import format_group
 from katsura.pathspace import (
     ActResult,
@@ -379,7 +379,7 @@ def test_criterion_08_essential_principality_bridge():
             witnessed += 1
             confirmed += result == "yes"
         verdict = topological_freeness(pair)
-        if not satisfies_condition_l(pair):
+        if not graph_facts(pair).condition_l:
             assert verdict.value == "no"
         else:
             assert verdict.value == escape.value

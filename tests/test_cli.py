@@ -24,7 +24,12 @@ def d2_file(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    # a bad command line exits from inside argument parsing, with the code a
+    # shell would see
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -211,9 +216,27 @@ class TestNegativeDepth:
             capsys, "germ-eq", "q(1)", "q(1)", e1_file, "--at", "[] ~ [(1,1,1)]", "--depth-cap", "-1"
         )
 
+    def test_non_integer_depth(self, capsys, d2_file):
+        self.assert_rejected(capsys, "fixedpoint", "s(1,1,1).u(1)", d2_file, "--depth", "abc")
+
+    def test_unknown_flag(self, capsys, e1_file):
+        self.assert_rejected(capsys, "analyze", e1_file, "--no-such-flag")
+
 
 class TestMissingFile:
     def test_io_error(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent/x.json")
         assert code == 1
         assert json.loads(err)["kind"] == "io"
+
+    def test_directory_is_an_io_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "analyze", str(tmp_path))
+        assert code == 1
+        assert json.loads(err)["kind"] == "io"
+
+    def test_non_utf8_file_is_a_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"N": 1, "A": [[2]], "B": [[1]]} \xe9')
+        code, _, err = run(capsys, "validate", str(p))
+        assert code == 2
+        assert json.loads(err)["kind"] == "parse"

@@ -13,13 +13,12 @@ from katsura.decisions import (
     simplicity,
     topological_freeness,
 )
+from katsura import ktheory, matrices
 from katsura.errors import StructuralError
 from katsura.matrices import (
     MatrixPair,
-    every_path_extends_to_cycle,
-    is_irreducible,
-    satisfies_condition_k,
-    satisfies_condition_l,
+    graph_facts,
+    simple_vertex_cycles,
 )
 from katsura.pathspace import has_fixed_cylinder
 
@@ -169,6 +168,25 @@ class TestAnalyze:
             if rep.condition_e.value == "yes":
                 assert rep.essentially_principal.value == rep.topologically_free.value
 
+    def test_each_fact_computed_once(self, monkeypatch):
+        # one Smith form per matrix, one Tarjan pass, and at most one more
+        # validation for the escape decision
+        calls = {"smith": 0, "tarjan": 0, "validate": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(ktheory, "smith_normal_form", counting("smith", ktheory.smith_normal_form))
+        monkeypatch.setattr(matrices, "_tarjan", counting("tarjan", matrices._tarjan))
+        monkeypatch.setattr(matrices, "validate", counting("validate", matrices.validate))
+        rep = analyze(E1)
+        assert rep.topologically_free.value == "yes"  # the escape verdict was computed
+        assert calls == {"smith": 2, "tarjan": 1, "validate": 2}
+
     def test_deterministic_for_fixed_caps(self):
         rng = random.Random(73)
         for _ in range(20):
@@ -187,7 +205,7 @@ class TestProbes:
             if fixed_point_escape(pair).value != "yes":
                 continue
             checked += 1
-            if satisfies_condition_l(pair):
+            if graph_facts(pair).condition_l:
                 assert topological_freeness(pair).value == "yes"
             exponents = set(range(1, 13)) | cycle_ratio_denominators(pair)
             for v in pair.vertices:
@@ -247,7 +265,7 @@ class TestProbes:
         rng = random.Random(75)
         for _ in range(40):
             pair = random_pair(rng, n_max=3, a_max=2, ensure_e=True)
-            if not satisfies_condition_l(pair):
+            if not graph_facts(pair).condition_l:
                 continue
             if fixed_point_escape(pair).value == "no":
                 assert topological_freeness(pair).value == "no"
@@ -269,16 +287,21 @@ class TestLongCycle:
     # deeper than the interpreter's default recursion limit
     N = 1100
 
+    def test_bare_cycle_is_its_only_simple_cycle(self):
+        assert simple_vertex_cycles(long_cycle(self.N)) == [tuple(range(1, self.N + 1))]
+
     def test_bare(self):
         pair = long_cycle(self.N)
-        assert is_irreducible(pair)
-        assert not satisfies_condition_k(pair)
-        assert every_path_extends_to_cycle(pair)
+        facts = graph_facts(pair)
+        assert facts.irreducible
+        assert not facts.condition_k
+        assert facts.paths_extend
         assert escape_witness(fixed_point_escape(pair)) == (1, 1)
 
     def test_with_chord(self):
         pair = long_cycle(self.N, chord=True)
-        assert is_irreducible(pair)
-        assert satisfies_condition_k(pair)
-        assert every_path_extends_to_cycle(pair)
+        facts = graph_facts(pair)
+        assert facts.irreducible
+        assert facts.condition_k
+        assert facts.paths_extend
         assert fixed_point_escape(pair).value == "yes"

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from katsura.errors import StructuralError, UnrealizableWithSquareMatrices
 from katsura.ktheory import (
     AbelianGroup,
+    KTheoryResult,
     abelian_group,
     cokernel,
     k_groups,
-    kernel_rank,
     mat_mul,
     realize,
     smith_normal_form,
@@ -28,6 +29,23 @@ def cofactor_det(m):
             minor = [row[:j] + row[j + 1 :] for row in m[1:]]
             total += (-1) ** j * m[0][j] * cofactor_det(minor)
     return total
+
+
+def rational_rank(m):
+    """Independent rank by Gaussian elimination over the rationals (tests only)."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def check_snf(m):
@@ -110,6 +128,46 @@ class TestAbelianGroups:
         with pytest.raises(StructuralError):
             AbelianGroup(0, (4, 6))
 
+    def test_against_prime_factorization(self):
+        def invariant_factors(orders):
+            # primary decomposition by trial division, then invariant factors
+            by_prime = {}
+            for d in orders:
+                p = 2
+                while d > 1:
+                    e = 0
+                    while d % p == 0:
+                        d //= p
+                        e += 1
+                    if e:
+                        by_prime.setdefault(p, []).append(e)
+                    p += 1
+            width = max((len(v) for v in by_prime.values()), default=0)
+            factors = []
+            for k in range(width):
+                f = 1
+                for p, exps in by_prime.items():
+                    exps = sorted(exps, reverse=True)
+                    if k < len(exps):
+                        f *= p ** exps[k]
+                factors.append(f)
+            return tuple(sorted(f for f in factors if f > 1))
+
+        rng = random.Random(63)
+        for _ in range(2000):
+            orders = [rng.choice((1, 2, 3, 4, 6, 8, 9, 12, 18, 25, 30, 36, 49, 60, 72, 97, 210, 1024))
+                      * rng.randint(1, 40) for _ in range(rng.randint(0, 6))]
+            free = rng.randint(0, 2)
+            assert abelian_group(free, orders) == AbelianGroup(free, invariant_factors(orders)), orders
+
+    def test_rejects_nonpositive_order(self):
+        with pytest.raises(StructuralError, match="cyclic order 0"):
+            abelian_group(0, [2, 0])
+
+
+def i_minus(m):
+    return [[(1 if i == j else 0) - m[i][j] for j in range(len(m))] for i in range(len(m))]
+
 
 class TestKGroups:
     @pytest.mark.parametrize("n", range(2, 7))
@@ -147,10 +205,7 @@ class TestKGroups:
 
         for _ in range(100):
             pair = random_pair(rng, n_max=4, a_max=3)
-            ia = [
-                [(1 if i == j else 0) - pair.a[i][j] for j in range(pair.n)]
-                for i in range(pair.n)
-            ]
+            ia = i_minus(pair.a)
             det = cofactor_det(ia)
             coker = cokernel(ia)
             if det != 0:
@@ -160,7 +215,30 @@ class TestKGroups:
                 assert coker.free_rank == 0
                 assert order == abs(det)
             else:
-                assert coker.free_rank == kernel_rank(ia) > 0
+                assert coker.free_rank == pair.n - rational_rank(ia) > 0
+
+    def test_one_smith_form_per_matrix(self):
+        # the kernel ranks read off the cokernels agree with separate
+        # eliminations, on singular I - A or I - B with negative B-entries
+        rng = random.Random(64)
+        from conftest import random_pair
+
+        checked = 0
+        for _ in range(600):
+            pair = random_pair(rng, n_max=4, a_max=2, b_max=3)
+            ia, ib = i_minus(pair.a), i_minus(pair.b)
+            if cofactor_det(ia) and cofactor_det(ib):
+                continue
+            checked += 1
+            ka = pair.n - sum(1 for d in smith_normal_form(ia).diagonal() if d)
+            kb = pair.n - sum(1 for d in smith_normal_form(ib).diagonal() if d)
+            ca, cb = cokernel(ia), cokernel(ib)
+            expected = KTheoryResult(
+                k0=AbelianGroup(ca.free_rank + kb, ca.torsion),
+                k1=AbelianGroup(cb.free_rank + ka, cb.torsion),
+            )
+            assert k_groups(pair) == expected, pair
+        assert checked >= 100
 
 
 GROUPS = {
@@ -214,4 +292,4 @@ class TestRealize:
             for i in range(pair.n)
         ]
         assert cokernel(ia) == cokernel(core)
-        assert kernel_rank(ia) == kernel_rank(core)
+        assert len(ia) - rational_rank(ia) == len(core) - rational_rank(core)

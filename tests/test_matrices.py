@@ -7,12 +7,8 @@ from katsura.matrices import (
     Cycle,
     MatrixPair,
     enumerate_simple_cycles,
-    every_path_extends_to_cycle,
-    is_irreducible,
+    graph_facts,
     is_transitory,
-    satisfies_condition_e,
-    satisfies_condition_k,
-    satisfies_condition_l,
     simple_vertex_cycles,
     strongly_connected_components,
     validate,
@@ -59,14 +55,14 @@ class TestValidate:
 
 class TestConditionE:
     def test_all_supported_nonzero(self):
-        assert satisfies_condition_e(E1)
+        assert graph_facts(E1).condition_e
 
     def test_zero_on_support(self):
-        assert not satisfies_condition_e(pair_of([[2, 1], [1, 2]], [[1, 0], [1, 1]]))
+        assert not graph_facts(pair_of([[2, 1], [1, 2]], [[1, 0], [1, 1]])).condition_e
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_zero_b_on_loop(self, n):
-        assert not satisfies_condition_e(pair_of([[n]], [[0]]))
+        assert not graph_facts(pair_of([[n]], [[0]])).condition_e
 
 
 def brute_reach(pair):
@@ -91,19 +87,19 @@ def brute_irreducible(pair):
 
 class TestIrreducible:
     def test_complete_support(self):
-        assert is_irreducible(E1)
+        assert graph_facts(E1).irreducible
 
     def test_upper_triangular(self):
-        assert not is_irreducible(pair_of([[2, 1], [0, 2]], [[1, 1], [0, 1]]))
+        assert not graph_facts(pair_of([[2, 1], [0, 2]], [[1, 1], [0, 1]])).irreducible
 
     def test_single_loop(self):
-        assert is_irreducible(pair_of([[3]], [[1]]))
+        assert graph_facts(pair_of([[3]], [[1]])).irreducible
 
     def test_against_reachability_closure(self):
         rng = random.Random(11)
         for _ in range(200):
             pair = random_pair(rng, n_max=6, a_max=2)
-            assert is_irreducible(pair) == brute_irreducible(pair)
+            assert graph_facts(pair).irreducible == brute_irreducible(pair)
 
     def test_components_against_reachability_closure(self):
         # two vertices share a component iff each reaches the other
@@ -131,19 +127,19 @@ def oracle_condition_l(pair):
 
 class TestConditionL:
     def test_two_cycle_without_exit(self):
-        assert not satisfies_condition_l(pair_of([[0, 1], [1, 0]], [[0, 1], [1, 0]]))
+        assert not graph_facts(pair_of([[0, 1], [1, 0]], [[0, 1], [1, 0]])).condition_l
 
     def test_double_loop(self):
-        assert satisfies_condition_l(pair_of([[2]], [[1]]))
+        assert graph_facts(pair_of([[2]], [[1]])).condition_l
 
     def test_e1(self):
-        assert satisfies_condition_l(E1)
+        assert graph_facts(E1).condition_l
 
     def test_against_cycle_scan(self):
         rng = random.Random(12)
         for _ in range(300):
             pair = random_pair(rng, n_max=5, a_max=3)
-            assert satisfies_condition_l(pair) == oracle_condition_l(pair)
+            assert graph_facts(pair).condition_l == oracle_condition_l(pair)
 
 
 def oracle_count_returns(pair, v, bound):
@@ -169,13 +165,13 @@ def oracle_count_returns(pair, v, bound):
 
 class TestConditionK:
     def test_double_loop(self):
-        assert satisfies_condition_k(pair_of([[2]], [[1]]))
+        assert graph_facts(pair_of([[2]], [[1]])).condition_k
 
     def test_unique_two_cycle(self):
-        assert not satisfies_condition_k(pair_of([[0, 1], [1, 0]], [[0, 1], [1, 0]]))
+        assert not graph_facts(pair_of([[0, 1], [1, 0]], [[0, 1], [1, 0]])).condition_k
 
     def test_single_loop(self):
-        assert not satisfies_condition_k(pair_of([[1]], [[1]]))
+        assert not graph_facts(pair_of([[1]], [[1]])).condition_k
 
     def test_against_walk_counting(self):
         # the shortest second return walk has length <= 2N, so the bounded
@@ -186,14 +182,15 @@ class TestConditionK:
             expected = all(
                 oracle_count_returns(pair, v, 2 * pair.n) != 1 for v in pair.vertices
             )
-            assert satisfies_condition_k(pair) == expected
+            assert graph_facts(pair).condition_k == expected
 
     def test_irreducible_and_l_implies_k(self):
         rng = random.Random(14)
         for _ in range(400):
             pair = random_pair(rng, n_max=4, a_max=3)
-            if is_irreducible(pair) and satisfies_condition_l(pair):
-                assert satisfies_condition_k(pair)
+            facts = graph_facts(pair)
+            if facts.irreducible and facts.condition_l:
+                assert facts.condition_k
 
 
 def oracle_cycles(pair, max_len):
@@ -290,13 +287,13 @@ class TestGraph:
 
 class TestPathExtension:
     def test_irreducible_implies(self):
-        assert every_path_extends_to_cycle(E1)
+        assert graph_facts(E1).paths_extend
 
     def test_one_way_arc(self):
-        assert not every_path_extends_to_cycle(pair_of([[2, 1], [0, 2]], [[1, 1], [0, 1]]))
+        assert not graph_facts(pair_of([[2, 1], [0, 2]], [[1, 1], [0, 1]])).paths_extend
 
     def test_single_loop(self):
-        assert every_path_extends_to_cycle(pair_of([[1]], [[1]]))
+        assert graph_facts(pair_of([[1]], [[1]])).paths_extend
 
     def test_against_reachability_closure(self):
         # every reachable vertex reaches back
@@ -308,4 +305,4 @@ class TestPathExtension:
             expected = all(
                 reach[j][i] for i in range(n) for j in range(n) if reach[i][j]
             )
-            assert every_path_extends_to_cycle(pair) == expected
+            assert graph_facts(pair).paths_extend == expected

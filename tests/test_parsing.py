@@ -1,9 +1,19 @@
 import random
+import time
 
 import pytest
 
 from katsura.errors import ExprParseError, SemanticError, StructuralError
-from katsura.invsemigroup import PathWord, Triple, ZERO, projection_q, unitary
+from katsura.invsemigroup import (
+    PathWord,
+    Triple,
+    ZERO,
+    multiply,
+    projection_q,
+    source_projection,
+    star,
+    unitary,
+)
 from katsura.ktheory import AbelianGroup
 from katsura.matrices import MatrixPair
 from katsura.parsing import (
@@ -51,6 +61,10 @@ class TestMatrixFiles:
     def test_missing_keys(self):
         with pytest.raises(StructuralError, match="lacks keys"):
             parse_matrix_file(b'{"N":1,"A":[[2]]}')
+
+    def test_non_utf8_is_a_parse_error(self):
+        with pytest.raises(ExprParseError, match="UTF-8"):
+            parse_matrix_file(b'{"N":1,\xff"A":[[2]],"B":[[1]]}')
 
 
 class TestSemigroupoidGrammar:
@@ -121,6 +135,25 @@ class TestIsgGrammar:
     def test_semantic_error_names_atom(self):
         with pytest.raises(SemanticError, match="vertex 3"):
             parse_isg("s(1,3,1)", E1)
+
+    def test_power_equals_repeated_product(self):
+        rng = random.Random(84)
+        for _ in range(40):
+            pair = random_pair(rng, n_max=3, a_max=3)
+            e = random_isg(rng, pair, max_len=3, t_max=3)
+            text = format_isg(e)
+            for k in range(-12, 13):
+                base = e if k > 0 else star(e)
+                expected = source_projection(pair, e) if k == 0 else base
+                for _ in range(abs(k) - 1):
+                    expected = multiply(pair, expected, base)
+                assert parse_isg(f"({text})^{k}", pair) == expected, (text, k)
+
+    def test_huge_unitary_power(self):
+        pair = MatrixPair.from_rows([[2]], [[1]])
+        start = time.perf_counter()
+        assert parse_isg("u(1)^100000000", pair) == unitary(pair, 1, 10**8)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestElementDispatch:
@@ -198,3 +231,10 @@ class TestGroupGrammar:
     def test_junk_rejected(self):
         with pytest.raises(ExprParseError):
             parse_group("Z/2 + Q")
+
+    def test_large_prime_order_is_not_factored(self):
+        start = time.perf_counter()
+        assert parse_group("Z/1000000000000000000000000000057") == AbelianGroup(
+            0, (1000000000000000000000000000057,)
+        )
+        assert time.perf_counter() - start < 1.0

@@ -125,13 +125,13 @@ class TestCompose:
     def test_epic_failure_witness_on_random_pairs(self):
         # every pair with a vanishing B-entry on the support admits g != h
         # with equal right-compositions
-        from katsura.matrices import satisfies_condition_e
+        from katsura.matrices import graph_facts
 
         rng = random.Random(27)
         found = 0
         while found < 100:
             pair = random_pair(rng, n_max=3, a_max=3)
-            if satisfies_condition_e(pair):
+            if graph_facts(pair).condition_e:
                 continue
             i, j = next(
                 (i, j)
