@@ -12,7 +12,7 @@ from .decisions import AnalysisReport, Verdict, analyze, simplicity
 from .errors import KatsuraError
 from .invsemigroup import ISgElement, PathWord, Triple, ZERO, multiply, star
 from .ktheory import AbelianGroup, KTheoryResult, k_groups, realize, smith_normal_form
-from .matrices import MatrixPair, validate
+from .matrices import MatrixPair
 from .pathspace import EventuallyPeriodicPath, act_on_prefix, generate_fixed_point
 from .semigroupoid import GWord, HPower, compose, lcm, standard_form
 
@@ -42,5 +42,4 @@ __all__ = [
     "smith_normal_form",
     "standard_form",
     "star",
-    "validate",
 ]

@@ -192,7 +192,8 @@ def _cmd_act(args) -> int:
         print("need-longer-prefix")
     else:
         assert isinstance(outcome, ActResult)
-        print(f"{parsing.format_finite_path(outcome.prefix)} residual {outcome.residual}")
+        residual = parsing.format_int(outcome.residual)
+        print(f"{parsing.format_finite_path(outcome.prefix)} residual {residual}")
     return EXIT_OK
 
 

@@ -89,8 +89,7 @@ def fixed_point_escape(pair: MatrixPair) -> Verdict:
     that still relaxes after N rounds starts at a vertex that reaches a
     negative closed walk, and so does every vertex that reaches it.
     """
-    matrices.require_valid(pair)
-    arcs = sorted(pair.support())
+    arcs = [(i, j) for i, js in enumerate(pair.sections, 1) for j in js]
     for i, j in arcs:
         if pair.b_at(i, j) == 0:
             return _no(
@@ -317,7 +316,7 @@ def _check_consistency(report: AnalysisReport) -> None:
 
 
 def analyze(pair: MatrixPair) -> AnalysisReport:
-    """Full report; raises StructuralError if the pair is invalid."""
+    """Full report on the pair."""
     facts = matrices.graph_facts(pair)
     escape = _escape(pair, facts)
     minimal = _minimality(facts.irreducible)

@@ -141,10 +141,6 @@ class AbelianGroup:
         if any(d < 2 for d in self.torsion):
             raise StructuralError("invariant factors must be >= 2")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
 
 def _coprime_basis(numbers) -> list[int]:
     """Pairwise coprime integers > 1 over which every nonzero number factors.

@@ -8,8 +8,9 @@ arithmetic; nothing in this package touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .errors import StructuralError
@@ -17,36 +18,50 @@ from .errors import StructuralError
 Edge = tuple[int, int, int]
 
 
-def _as_int(value) -> int:
-    # bool is an int subclass; reject it so JSON `true` cannot sneak in as 1
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise StructuralError(f"matrix entry {value!r} is not an integer")
-    return value
-
-
 @dataclass(frozen=True)
 class MatrixPair:
-    """A size-N pair: A with nonnegative integer entries, B with integer entries."""
+    """A size-N pair: A with nonnegative integer entries, B with integer
+    entries.  Construction enforces the standing requirement (no zero row in
+    A, B supported inside the support of A), so every instance is valid."""
 
     n: int
     a: tuple[tuple[int, ...], ...]
     b: tuple[tuple[int, ...], ...]
+    # entry i - 1 lists the out-vertices of i, read off the same scan
+    sections: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not self.a:
+            raise StructuralError("A is empty")
+        for name, m in (("A", self.a), ("B", self.b)):
+            if len(m) != self.n or any(len(row) != self.n for row in m):
+                raise StructuralError(f"{name} is not a square matrix of size {self.n}")
+        for x in chain(*self.a, *self.b):
+            # bool is an int subclass; reject it so JSON `true` cannot sneak in as 1
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise StructuralError(f"matrix entry {x!r} is not an integer")
+        sections = []
+        zero_rows = []
+        off_support = []
+        for i, (a_row, b_row) in enumerate(zip(self.a, self.b), 1):
+            section = []
+            for j, (x, y) in enumerate(zip(a_row, b_row), 1):
+                if x < 0:
+                    raise StructuralError(f"A[{i}][{j}] = {x} is negative")
+                if x:
+                    section.append(j)
+                elif y:
+                    off_support.append(f"B[{i}][{j}] is nonzero but A[{i}][{j}] = 0")
+            if not section:
+                zero_rows.append(f"row {i} of A is zero")
+            sections.append(tuple(section))
+        if zero_rows or off_support:
+            raise StructuralError("invalid pair: " + "; ".join(zero_rows + off_support))
+        object.__setattr__(self, "sections", tuple(sections))
 
     @staticmethod
     def from_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> "MatrixPair":
-        n = len(a)
-        if n == 0:
-            raise StructuralError("A is empty")
-        for name, m in (("A", a), ("B", b)):
-            if len(m) != n or any(len(row) != n for row in m):
-                raise StructuralError(f"{name} is not a square matrix of size {n}")
-        ta = tuple(tuple(_as_int(x) for x in row) for row in a)
-        tb = tuple(tuple(_as_int(x) for x in row) for row in b)
-        for i, row in enumerate(ta):
-            for j, x in enumerate(row):
-                if x < 0:
-                    raise StructuralError(f"A[{i + 1}][{j + 1}] = {x} is negative")
-        return MatrixPair(n, ta, tb)
+        return MatrixPair(len(a), tuple(map(tuple, a)), tuple(map(tuple, b)))
 
     def a_at(self, i: int, j: int) -> int:
         return self.a[i - 1][j - 1]
@@ -60,10 +75,7 @@ class MatrixPair:
 
     def out_vertices(self, i: int) -> tuple[int, ...]:
         """The row section of the support at i."""
-        return tuple(j for j, x in enumerate(self.a[i - 1], 1) if x >= 1)
-
-    def support(self) -> set[tuple[int, int]]:
-        return {(i, j) for i in self.vertices for j in self.out_vertices(i)}
+        return self.sections[i - 1]
 
     def edges(self) -> list[Edge]:
         return [
@@ -89,36 +101,6 @@ class MatrixPair:
         return Fraction(self.b_at(i, j), self.a_at(i, j))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(pair: MatrixPair) -> ValidationReport:
-    """Check the standing requirement on (A, B): no zero row in A, and B
-    supported inside the support of A.  Reports every violation."""
-    problems = [
-        f"row {i} of A is zero" for i, row in enumerate(pair.a, 1) if max(row, default=0) < 1
-    ]
-    for i, (a_row, b_row) in enumerate(zip(pair.a, pair.b), 1):
-        problems += [
-            f"B[{i}][{j}] is nonzero but A[{i}][{j}] = 0"
-            for j, (x, y) in enumerate(zip(a_row, b_row), 1)
-            if x == 0 and y != 0
-        ]
-    return ValidationReport(tuple(problems))
-
-
-def require_valid(pair: MatrixPair) -> None:
-    report = validate(pair)
-    if not report.ok:
-        raise StructuralError("invalid pair: " + "; ".join(report.violations))
-
-
 def _reachable_from(pair: MatrixPair, start: int) -> set[int]:
     """Vertices reachable from `start` by paths of length >= 1 over the support."""
     seen: set[int] = set()
@@ -134,13 +116,8 @@ def _reachable_from(pair: MatrixPair, start: int) -> set[int]:
     return seen
 
 
-def _successors(pair: MatrixPair) -> tuple[tuple[int, ...], ...]:
-    """The row sections of the support: entry i - 1 lists the out-vertices of i."""
-    return tuple(tuple(j for j, x in enumerate(row, 1) if x) for row in pair.a)
-
-
-def _tarjan(succ: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """Strongly connected components of the digraph `succ`, each sorted,
+def strongly_connected_components(pair: MatrixPair) -> list[tuple[int, ...]]:
+    """Strongly connected components of the support digraph, each sorted,
     listed sinks first.
 
     Tarjan's algorithm with an explicit stack in place of recursion, so the
@@ -151,7 +128,8 @@ def _tarjan(succ: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
     stack: list[int] = []
     on_stack: set[int] = set()
     components: list[tuple[int, ...]] = []
-    for root in range(1, len(succ) + 1):
+    succ = pair.sections
+    for root in pair.vertices:
         if root in index:
             continue
         index[root] = low[root] = len(index)
@@ -186,17 +164,10 @@ def _tarjan(succ: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
     return components
 
 
-def strongly_connected_components(pair: MatrixPair) -> list[tuple[int, ...]]:
-    """Strongly connected components of the support digraph, each sorted,
-    listed sinks first."""
-    require_valid(pair)
-    return _tarjan(_successors(pair))
-
-
 @dataclass(frozen=True)
 class GraphFacts:
-    """The graph conditions on a valid pair, read off one scan of the rows
-    and one strongly-connected-components pass."""
+    """The graph conditions on a pair, read off its row sections and one
+    strongly-connected-components pass."""
 
     condition_e: bool  # B[i][j] != 0 wherever A[i][j] >= 1
     condition_l: bool  # every cycle of the edge graph has an exit
@@ -206,7 +177,7 @@ class GraphFacts:
 
 
 def graph_facts(pair: MatrixPair) -> GraphFacts:
-    """Validate the pair once and compute its graph conditions together.
+    """Compute the graph conditions of the pair together.
 
     Call a component bare when it has internal arcs and every member has
     exactly one out-arc inside it, carrying A-entry 1.  A vertex on a cycle
@@ -218,9 +189,8 @@ def graph_facts(pair: MatrixPair) -> GraphFacts:
     has no zero row, so it has a cycle through every vertex), and paths
     extend to cycles iff no support arc leaves its component.
     """
-    require_valid(pair)
-    succ = _successors(pair)
-    components = _tarjan(succ)
+    succ = pair.sections
+    components = strongly_connected_components(pair)
     component = [0] * (pair.n + 1)
     for c, members in enumerate(components):
         for v in members:
@@ -251,9 +221,8 @@ def simple_vertex_cycles(pair: MatrixPair, max_len: int | None = None) -> list[t
 
     Depth-first over paths with an explicit stack, one successor iterator
     per path vertex, so a long cycle does not hit the recursion limit."""
-    require_valid(pair)
     cap = pair.n if max_len is None else min(max_len, pair.n)
-    succ = _successors(pair)
+    succ = pair.sections
     out: list[tuple[int, ...]] = []
     for root in pair.vertices:
         path = [root]
@@ -316,7 +285,6 @@ class Cycle:
 
 def is_transitory(pair: MatrixPair, cycle: Cycle) -> bool:
     """True iff no exit edge of the cycle starts a path returning to the cycle."""
-    require_valid(pair)
     for e in cycle.edges:
         if not pair.has_edge(e):
             raise StructuralError(f"edge {e} is not an edge of the pair's graph")

@@ -15,14 +15,27 @@ from __future__ import annotations
 
 import json
 import string
+import sys
 
 from . import invsemigroup as isg
 from . import semigroupoid as sgp
-from .errors import ExprParseError, SemanticError, StructuralError
+from .errors import DomainError, ExprParseError, SemanticError, StructuralError
 from .invsemigroup import ISgElement, PathWord, Zero, ZERO
 from .ktheory import AbelianGroup, abelian_group
-from .matrices import MatrixPair, validate
+from .matrices import MatrixPair
 from .pathspace import EventuallyPeriodicPath, periodic_point
+
+
+def format_int(x: int) -> str:
+    """Decimal text of x; an integer past the interpreter's digit limit is a
+    DomainError that names the limit."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DomainError(
+            f"the answer holds an integer of more than {sys.get_int_max_str_digits()} digits,"
+            " the interpreter's limit for printing integers"
+        ) from None
 
 
 class _Scanner:
@@ -61,7 +74,11 @@ class _Scanner:
             self.pos += 1
         if self.pos == digits:
             raise ExprParseError(start, "an integer", self.text)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ExprParseError(start, f"an integer of at most {limit} digits", self.text) from None
 
     def done(self) -> None:
         self.skip_ws()
@@ -118,7 +135,7 @@ def parse_semigroupoid(text: str, pair: MatrixPair) -> sgp.SgpElement:
 
 def format_semigroupoid(e: sgp.SgpElement) -> str:
     if isinstance(e, sgp.HPower):
-        return f"h({e.vertex})" if e.exponent == 1 else f"h({e.vertex})^{e.exponent}"
+        return f"h({e.vertex})" if e.exponent == 1 else f"h({e.vertex})^{format_int(e.exponent)}"
     return ".".join(f"g({i},{j},{n})" for i, j, n in e.edges)
 
 
@@ -198,7 +215,7 @@ def format_isg(e: ISgElement) -> str:
     parts = [f"s({i},{j},{n})" for i, j, n in e.left.edges]
     if e.exponent:
         v = e.range_vertex
-        parts.append(f"u({v})" if e.exponent == 1 else f"u({v})^{e.exponent}")
+        parts.append(f"u({v})" if e.exponent == 1 else f"u({v})^{format_int(e.exponent)}")
     parts.extend(f"s({i},{j},{n})*" for i, j, n in reversed(e.right.edges))
     if not parts:
         return f"q({e.range_vertex})"
@@ -336,7 +353,7 @@ def format_group(grp: AbelianGroup) -> str:
         parts.append("Z")
     elif grp.free_rank > 1:
         parts.append(f"Z^{grp.free_rank}")
-    parts.extend(f"Z/{d}" for d in grp.torsion)
+    parts.extend(f"Z/{format_int(d)}" for d in grp.torsion)
     return " + ".join(parts) if parts else "0"
 
 
@@ -352,6 +369,9 @@ def parse_matrix_file(data: bytes | str) -> MatrixPair:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ExprParseError(exc.pos, "well-formed JSON", text) from exc
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ExprParseError(0, f"integers of at most {limit} digits", text) from None
     if not isinstance(doc, dict):
         raise StructuralError("matrix file must be a JSON object")
     missing = {"N", "A", "B"} - doc.keys()
@@ -360,15 +380,13 @@ def parse_matrix_file(data: bytes | str) -> MatrixPair:
     n, a, b = doc["N"], doc["A"], doc["B"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise StructuralError(f"N must be a positive integer, got {n!r}")
-    if not isinstance(a, list) or not isinstance(b, list):
+    if not (
+        isinstance(a, list) and isinstance(b, list) and all(isinstance(row, list) for row in a + b)
+    ):
         raise StructuralError("A and B must be arrays of arrays")
     if len(a) != n or len(b) != n:
         raise StructuralError(f"A and B must have {n} rows")
-    pair = MatrixPair.from_rows(a, b)
-    report = validate(pair)
-    if not report.ok:
-        raise StructuralError("invalid pair: " + "; ".join(report.violations))
-    return pair
+    return MatrixPair.from_rows(a, b)
 
 
 def parse_element(text: str, pair: MatrixPair):

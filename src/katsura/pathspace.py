@@ -156,8 +156,10 @@ def image_point(
 
     The residual exponent evolves deterministically per period copy; once it
     repeats, the image's period is the block of letters emitted in between.
-    Raises DepthCapExceeded if no repetition shows up within `cap` copies
-    (the image need not be eventually periodic in general).
+    When A = 1 on every arc of the period, every offset is forced to 1 and
+    each copy maps to itself, however the residual grows.  Otherwise raises
+    DepthCapExceeded if no repetition shows up within `cap` copies (the
+    image need not be eventually periodic in general).
     """
     if isinstance(s, Zero):
         return ACT_ZERO
@@ -170,6 +172,8 @@ def image_point(
     offset = (start - p) % q
     loop = x.period.edges[offset:] + x.period.edges[:offset]
     vertex = x.phase_vertex(start)
+    if all(pair.a_at(i, j) == 1 for i, j, _ in loop):
+        return eventually_periodic(head.prefix, PathWord(vertex, loop))
     seen: dict[int, int] = {}
     blocks: list[tuple[Edge, ...]] = []
     t = head.residual

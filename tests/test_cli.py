@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -240,3 +241,63 @@ class TestMissingFile:
         code, _, err = run(capsys, "validate", str(p))
         assert code == 2
         assert json.loads(err)["kind"] == "parse"
+
+    def test_rows_that_are_not_arrays(self, capsys, tmp_path):
+        p = tmp_path / "flat.json"
+        p.write_text('{"N": 2, "A": [1, 2], "B": [[1, 1], [1, 1]]}')
+        code, _, err = run(capsys, "analyze", str(p))
+        assert code == 1
+        assert json.loads(err) == {"kind": "structural", "message": "A and B must be arrays of arrays"}
+
+
+@pytest.fixture
+def digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("the interpreter sets no limit on integer digits")
+    return limit
+
+
+class TestDigitLimit:
+    """Integers past the interpreter's limit on decimal digits give the
+    one-line JSON error, never a traceback."""
+
+    def assert_error(self, capsys, kind, code, *argv):
+        got, out, err = run(capsys, *argv)
+        assert got == code and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["kind"] == kind
+        return payload["message"]
+
+    def test_group_literal(self, capsys, digit_limit):
+        nines = "9" * (digit_limit + 700)
+        message = self.assert_error(capsys, "parse", 2, "realize", "--k0", f"Z/{nines}", "--k1", "0")
+        assert f"at most {digit_limit} digits" in message
+
+    def test_exponent_literal(self, capsys, digit_limit, e1_file):
+        nines = "9" * (digit_limit + 700)
+        message = self.assert_error(capsys, "parse", 2, "normalize", f"u(1)^{nines}", e1_file)
+        assert f"at most {digit_limit} digits" in message
+
+    def test_matrix_file_entry(self, capsys, digit_limit, tmp_path):
+        p = tmp_path / "big.json"
+        nines = "9" * (digit_limit + 700)
+        p.write_text(f'{{"N": 2, "A": [[2, {nines}], [1, 2]], "B": [[1, 1], [1, 1]]}}')
+        message = self.assert_error(capsys, "parse", 2, "analyze", str(p))
+        assert f"at most {digit_limit} digits" in message
+
+    def test_answer_too_long_to_print(self, capsys, digit_limit, tmp_path):
+        # the torsion of coker(I - A) is d^2 - 3d + 1, about twice as long as d
+        d = "9" * (digit_limit - 300)
+        p = tmp_path / "wide.json"
+        p.write_text(f'{{"N": 2, "A": [[{d}, {d}], [1, {d}]], "B": [[1, 1], [1, 1]]}}')
+        message = self.assert_error(capsys, "domain", 1, "kgroups", str(p))
+        assert f"more than {digit_limit} digits" in message
+
+    @pytest.mark.parametrize("atom", ["u(1)", "h(1)"])
+    def test_exponent_too_long_to_print(self, capsys, digit_limit, e1_file, atom):
+        # each literal fits the limit, their sum has one digit more
+        power = f"{atom}^{'9' * digit_limit}"
+        message = self.assert_error(capsys, "domain", 1, "normalize", f"{power}.{power}", e1_file)
+        assert f"more than {digit_limit} digits" in message

@@ -13,7 +13,7 @@ from katsura.decisions import (
     simplicity,
     topological_freeness,
 )
-from katsura import ktheory, matrices
+from katsura import cli, ktheory, matrices
 from katsura.errors import StructuralError
 from katsura.matrices import (
     MatrixPair,
@@ -168,10 +168,10 @@ class TestAnalyze:
             if rep.condition_e.value == "yes":
                 assert rep.essentially_principal.value == rep.topologically_free.value
 
-    def test_each_fact_computed_once(self, monkeypatch):
-        # one Smith form per matrix, one Tarjan pass, and at most one more
-        # validation for the escape decision
-        calls = {"smith": 0, "tarjan": 0, "validate": 0}
+    def test_each_fact_computed_once(self, monkeypatch, tmp_path, capsys):
+        # one Smith form per matrix, one SCC pass, and no validity check
+        # beyond the one that builds the pair
+        calls = {"smith": 0, "scc": 0, "check": 0}
 
         def counting(key, fn):
             def wrapper(*args):
@@ -181,11 +181,21 @@ class TestAnalyze:
             return wrapper
 
         monkeypatch.setattr(ktheory, "smith_normal_form", counting("smith", ktheory.smith_normal_form))
-        monkeypatch.setattr(matrices, "_tarjan", counting("tarjan", matrices._tarjan))
-        monkeypatch.setattr(matrices, "validate", counting("validate", matrices.validate))
+        monkeypatch.setattr(
+            matrices,
+            "strongly_connected_components",
+            counting("scc", matrices.strongly_connected_components),
+        )
+        monkeypatch.setattr(MatrixPair, "__post_init__", counting("check", MatrixPair.__post_init__))
         rep = analyze(E1)
         assert rep.topologically_free.value == "yes"  # the escape verdict was computed
-        assert calls == {"smith": 2, "tarjan": 1, "validate": 2}
+        assert calls == {"smith": 2, "scc": 1, "check": 0}
+
+        path = tmp_path / "pair.json"
+        path.write_text('{"N": 2, "A": [[2, 1], [1, 2]], "B": [[1, 1], [1, 1]]}')
+        assert cli.main(["analyze", str(path)]) == 0
+        assert "topologically_free       yes" in capsys.readouterr().out
+        assert calls == {"smith": 4, "scc": 2, "check": 1}
 
     def test_deterministic_for_fixed_caps(self):
         rng = random.Random(73)

@@ -11,7 +11,6 @@ from katsura.matrices import (
     is_transitory,
     simple_vertex_cycles,
     strongly_connected_components,
-    validate,
 )
 
 from conftest import random_pair
@@ -23,24 +22,88 @@ def pair_of(a, b):
     return MatrixPair.from_rows(a, b)
 
 
+def old_checks(a, b):
+    """The validity rules as the two passes they once were, kept as the
+    oracle: row conversion (shape, integer entries, negative A), then the
+    violation report (zero A-rows, then B off the support).  Returns the
+    message construction must raise, or None for a valid pair."""
+    n = len(a)
+    if n == 0:
+        return "A is empty"
+    for name, m in (("A", a), ("B", b)):
+        if len(m) != n or any(len(row) != n for row in m):
+            return f"{name} is not a square matrix of size {n}"
+    for x in [x for row in a for x in row] + [x for row in b for x in row]:
+        if isinstance(x, bool) or not isinstance(x, int):
+            return f"matrix entry {x!r} is not an integer"
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x < 0:
+                return f"A[{i + 1}][{j + 1}] = {x} is negative"
+    problems = [f"row {i} of A is zero" for i, row in enumerate(a, 1) if max(row, default=0) < 1]
+    for i, (a_row, b_row) in enumerate(zip(a, b), 1):
+        problems += [
+            f"B[{i}][{j}] is nonzero but A[{i}][{j}] = 0"
+            for j, (x, y) in enumerate(zip(a_row, b_row), 1)
+            if x == 0 and y != 0
+        ]
+    return "invalid pair: " + "; ".join(problems) if problems else None
+
+
+def random_rows(rng):
+    """Rows of a candidate pair, often invalid: zero A-rows, B off the
+    support, negative A-entries, bool entries and ragged rows."""
+    n = rng.randint(1, 4)
+
+    def entry(negative):
+        r = rng.random()
+        if r < 0.02:
+            return rng.choice([True, False])
+        if r < 0.02 + negative:
+            return -rng.randint(1, 3)
+        return rng.choice([0, 0, 1, 2])
+
+    def matrix(negative):
+        rows = n if rng.random() > 0.03 else rng.randint(0, n + 1)
+        out = []
+        for _ in range(rows):
+            width = n if rng.random() > 0.03 else rng.randint(0, n + 1)
+            row = [entry(negative) for _ in range(width)]
+            out.append([0] * width if rng.random() < 0.1 else row)
+        return out
+
+    return matrix(0.01), matrix(0.3)
+
+
 class TestValidate:
     def test_ok(self):
-        assert validate(E1).ok
+        assert E1.sections == ((1, 2), (1, 2))
 
     def test_zero_row(self):
-        rep = validate(pair_of([[0, 0], [1, 1]], [[0, 0], [0, 0]]))
-        assert not rep.ok
-        assert "row 1 of A is zero" in rep.violations
+        with pytest.raises(StructuralError) as exc:
+            pair_of([[0, 0], [1, 1]], [[0, 0], [0, 0]])
+        assert "row 1 of A is zero" in str(exc.value)
 
     def test_b_off_support(self):
-        rep = validate(pair_of([[2, 0], [1, 2]], [[1, 5], [1, 1]]))
-        assert not rep.ok
-        assert any("B[1][2]" in v for v in rep.violations)
+        with pytest.raises(StructuralError) as exc:
+            pair_of([[2, 0], [1, 2]], [[1, 5], [1, 1]])
+        assert "B[1][2]" in str(exc.value)
 
     def test_idempotent_and_pure(self):
-        rep1 = validate(E1)
-        rep2 = validate(E1)
-        assert rep1 == rep2
+        rows = ([[2, 0], [1, 2]], [[1, 0], [1, 1]])
+        p, q = pair_of(*rows), pair_of(*rows)
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert p.sections == q.sections == ((1,), (1, 2))
+        assert repr(p) == "MatrixPair(n=2, a=((2, 0), (1, 2)), b=((1, 0), (1, 1)))"
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(StructuralError) as exc:
+                pair_of([[0, 0], [1, 0]], [[0, 1], [1, 1]])
+            messages.add(str(exc.value))
+        assert messages == {
+            "invalid pair: row 1 of A is zero; B[1][2] is nonzero but A[1][2] = 0;"
+            " B[2][2] is nonzero but A[2][2] = 0"
+        }
 
     def test_structural_errors(self):
         with pytest.raises(StructuralError):
@@ -51,6 +114,37 @@ class TestValidate:
             MatrixPair.from_rows([[-1]], [[0]])
         with pytest.raises(StructuralError):
             MatrixPair.from_rows([[True]], [[0]])
+        with pytest.raises(StructuralError, match="A is empty"):
+            MatrixPair.from_rows([], [])
+
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(StructuralError, match="row 1 of A is zero"):
+            MatrixPair(1, ((0,),), ((0,),))
+        with pytest.raises(StructuralError, match="A is not a square matrix of size 2"):
+            MatrixPair(2, ((1,),), ((1,),))
+
+    def test_construction_agrees_with_old_checks(self):
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(1000):
+            a, b = random_rows(rng)
+            expected = old_checks(a, b)
+            if expected is None:
+                pair = MatrixPair.from_rows(a, b)
+                assert pair.sections == tuple(
+                    tuple(j for j, x in enumerate(row, 1) if x) for row in a
+                )
+                seen.add("valid")
+                continue
+            with pytest.raises(StructuralError) as exc:
+                MatrixPair.from_rows(a, b)
+            assert str(exc.value) == expected
+            for kind in ("empty", "square", "integer", "negative", "is zero", "nonzero but"):
+                if kind in expected:
+                    seen.add(kind)
+        assert seen == {
+            "valid", "empty", "square", "integer", "negative", "is zero", "nonzero but"
+        }
 
 
 class TestConditionE:

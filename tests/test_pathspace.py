@@ -40,7 +40,7 @@ from katsura.pathspace import (
     periodic_point,
 )
 
-from conftest import random_isg, random_pair, random_path_word, random_walk
+from conftest import random_backward_walk, random_isg, random_pair, random_path_word, random_walk
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
 D2 = MatrixPair.from_rows([[2]], [[1]])
@@ -398,6 +398,37 @@ class TestImagePoint:
             assert img.unfold(depth) == act_on_periodic(pair, s, x, depth)
             checked += 1
         assert checked > 150
+
+    def test_unit_loop_with_growing_residual(self):
+        # the residual doubles each copy, but A = 1 forces every offset
+        pair = MatrixPair.from_rows([[1, 1], [1, 1]], [[2, 1], [1, 1]])
+        x = loop_point(pair, 1)
+        s = unitary(pair, 1)
+        assert image_point(pair, s, x) == x
+        assert x.unfold(64) == act_on_periodic(pair, s, x, 64)
+
+    def test_unit_cycles_against_prefix_action(self):
+        rng = random.Random(48)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            a = [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
+            cycle = [v + 1 for v in rng.sample(range(n), rng.randint(1, n))]
+            arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
+            for i, j in arcs:
+                a[i - 1][j - 1] = 1
+            for row in a:
+                if not any(row):
+                    row[rng.randrange(n)] = rng.randint(1, 2)
+            # |B| >= 2 keeps the residual growing around the cycle
+            b = [[rng.choice([-3, -2, 2, 3]) if x else 0 for x in row] for row in a]
+            pair = MatrixPair.from_rows(a, b)
+            v = cycle[0]
+            back = random_backward_walk(rng, pair, v, rng.randint(0, 2))
+            pre = PathWord(back[0][0] if back else v, back)
+            x = eventually_periodic(pre, PathWord(v, tuple((i, j, 1) for i, j in arcs)))
+            s = _element_at_point(rng, pair, x)
+            img = image_point(pair, s, x)
+            assert img.unfold(64) == act_on_periodic(pair, s, x, 64)
 
 
 def _element_at_point(rng, pair, x):
