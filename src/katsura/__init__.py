@@ -8,7 +8,7 @@ infiniteness, and exact K-theory including realization of prescribed
 K-groups.
 """
 
-from .decisions import AnalysisReport, Verdict, analyze, simplicity
+from .decisions import AnalysisReport, Verdict, analyze
 from .errors import KatsuraError
 from .invsemigroup import ISgElement, PathWord, Triple, ZERO, multiply, star
 from .ktheory import AbelianGroup, KTheoryResult, k_groups, realize, smith_normal_form
@@ -38,7 +38,6 @@ __all__ = [
     "lcm",
     "multiply",
     "realize",
-    "simplicity",
     "smith_normal_form",
     "standard_form",
     "star",

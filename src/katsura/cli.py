@@ -16,12 +16,14 @@ from . import invsemigroup as isg
 from . import parsing, semigroupoid as sgp
 from .decisions import AnalysisReport, Verdict, analyze
 from .errors import (
+    LETTER_BUDGET,
     CertificationError,
     ExprParseError,
     KatsuraError,
     SemanticError,
     StructuralError,
     UnrealizableWithSquareMatrices,
+    format_int,
 )
 from .ktheory import KTheoryResult, k_groups, realize
 from .matrices import MatrixPair
@@ -127,6 +129,8 @@ def _cmd_realize(args) -> int:
     g1 = parsing.parse_group(args.k1)
     cert = realize(g0, g1)
     pair = cert.pair
+    # json.dumps cannot print an integer past the digit limit; the longest entry decides
+    format_int(max(abs(x) for row in pair.a + pair.b for x in row))
     doc = {
         "N": pair.n,
         "A": [list(row) for row in pair.a],
@@ -192,7 +196,7 @@ def _cmd_act(args) -> int:
         print("need-longer-prefix")
     else:
         assert isinstance(outcome, ActResult)
-        residual = parsing.format_int(outcome.residual)
+        residual = format_int(outcome.residual)
         print(f"{parsing.format_finite_path(outcome.prefix)} residual {residual}")
     return EXIT_OK
 
@@ -221,15 +225,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_fail("parse", f"{self.prog}: {message}", EXIT_PARSE))
 
 
-def _count(text: str) -> int:
-    """A nonnegative integer flag value."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _depth(letters):
+    """The type of a depth flag: a nonnegative integer whose answer or scan,
+    `letters(value)` letters long, fits the letter budget."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        if letters(value) > LETTER_BUDGET:
+            raise argparse.ArgumentTypeError(
+                f"{value} would take more than {LETTER_BUDGET} letters, the letter budget"
+            )
+        return value
+
+    return parse
+
+
+# act and fixedpoint answer with `depth` letters; germ-eq builds a cylinder of
+# every length up to its cap, cap * (cap + 1) / 2 letters in all
+_answer_depth = _depth(lambda depth: depth)
+_scan_cap = _depth(lambda cap: cap * (cap + 1) // 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("path")
     p.add_argument("file")
-    p.add_argument("--depth", type=_count, default=16)
+    p.add_argument("--depth", type=_answer_depth, default=16)
     p.set_defaults(func=_cmd_act)
 
     p = sub.add_parser("fixedpoint", help="prefix of the unique fixed point of an element")
     p.add_argument("expr")
     p.add_argument("file")
-    p.add_argument("--depth", type=_count, required=True)
+    p.add_argument("--depth", type=_answer_depth, required=True)
     p.set_defaults(func=_cmd_fixedpoint)
 
     p = sub.add_parser("germ-eq", help="compare two germs at a point")
@@ -292,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("file")
     p.add_argument("--at", required=True, metavar="PATH")
-    p.add_argument("--depth-cap", type=_count, default=32)
+    p.add_argument("--depth-cap", type=_scan_cap, default=32)
     p.set_defaults(func=_cmd_germ_eq)
 
     return top

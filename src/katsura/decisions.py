@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import matrices
-from .errors import StructuralError
+from .errors import StructuralError, format_int
 from .ktheory import KTheoryResult, _coprime_basis, _valuation, k_groups
 from .matrices import MatrixPair
 
@@ -56,20 +56,6 @@ def _unknown(tag: str, text: str) -> Verdict:
 
 def _bool_verdict(flag: bool, name: str, yes_text: str, no_text: str) -> Verdict:
     return _yes(name, yes_text) if flag else _no(f"not-{name}", no_text)
-
-
-def _minimality(irreducible: bool) -> Verdict:
-    return _bool_verdict(
-        irreducible,
-        "irreducible",
-        "the support digraph is strongly connected",
-        "the support digraph is not strongly connected",
-    )
-
-
-def minimality(pair: MatrixPair) -> Verdict:
-    """Exact: the action is minimal iff A is irreducible."""
-    return _minimality(matrices.graph_facts(pair).irreducible)
 
 
 def fixed_point_escape(pair: MatrixPair) -> Verdict:
@@ -135,16 +121,12 @@ def fixed_point_escape(pair: MatrixPair) -> Verdict:
     l = 1
     for q, d in least:
         l *= q ** -d[w]
-    return _no("fixed-cylinder", f"u({w})^{l} fixes the whole cylinder of vertex {w}")
-
-
-def _escape(pair: MatrixPair, facts: matrices.GraphFacts) -> Verdict | None:
-    """The escape verdict where some verdict reads it: under conditions (E)
-    and (L)."""
-    return fixed_point_escape(pair) if facts.condition_e and facts.condition_l else None
+    return _no("fixed-cylinder", f"u({w})^{format_int(l)} fixes the whole cylinder of vertex {w}")
 
 
 def _freeness(facts: matrices.GraphFacts, escape: Verdict | None) -> Verdict:
+    """Exact: the action is topologically free iff condition (L), condition
+    (E) and the fixed-point escape condition hold."""
     if not facts.condition_l:
         return _no("condition-L-fails", "an exit-free cycle makes its fixed point isolated")
     if not facts.condition_e:
@@ -164,13 +146,6 @@ def _freeness(facts: matrices.GraphFacts, escape: Verdict | None) -> Verdict:
     )
 
 
-def topological_freeness(pair: MatrixPair) -> Verdict:
-    """Exact verdict on topological freeness of the action: condition (L),
-    condition (E) and the fixed-point escape condition."""
-    facts = matrices.graph_facts(pair)
-    return _freeness(facts, _escape(pair, facts))
-
-
 _FIXED_POINT_READING = Reason(
     "unitary-fixed-points",
     "fixed points examined are those of vertex unitary powers and their"
@@ -179,6 +154,9 @@ _FIXED_POINT_READING = Reason(
 
 
 def _simplicity(facts: matrices.GraphFacts, escape: Verdict | None) -> Verdict:
+    """Under condition (E), simplicity is equivalent to irreducibility, every
+    cycle having an exit and the fixed-point escape condition.  Without (E)
+    the characterization is unavailable."""
     if not facts.condition_e:
         return Verdict(
             "unknown",
@@ -213,15 +191,9 @@ def _simplicity(facts: matrices.GraphFacts, escape: Verdict | None) -> Verdict:
     )
 
 
-def simplicity(pair: MatrixPair) -> Verdict:
-    """Under the nonvanishing condition on B, simplicity is equivalent to
-    irreducibility + every cycle having an exit + the fixed-point escape
-    condition.  Without it the characterization is unavailable."""
-    facts = matrices.graph_facts(pair)
-    return _simplicity(facts, _escape(pair, facts))
-
-
 def _locally_contracting(facts: matrices.GraphFacts) -> Verdict:
+    """Sufficient only: every finite path enlarges to a cycle and every cycle
+    has an exit."""
     extends, cond_l = facts.paths_extend, facts.condition_l
     if extends and cond_l:
         return Verdict(
@@ -240,12 +212,6 @@ def _locally_contracting(facts: matrices.GraphFacts) -> Verdict:
     return Verdict("unknown", tuple(tags))
 
 
-def locally_contracting(pair: MatrixPair) -> Verdict:
-    """Sufficient only: every finite path enlarges to a cycle and every cycle
-    has an exit."""
-    return _locally_contracting(matrices.graph_facts(pair))
-
-
 def _pure_infiniteness(simple: Verdict) -> Verdict:
     if simple.is_yes:
         return Verdict(
@@ -257,26 +223,6 @@ def _pure_infiniteness(simple: Verdict) -> Verdict:
             "no", (Reason("not-simple", "a non-simple algebra is not purely infinite simple"),)
         )
     return Verdict("unknown", simple.reasons)
-
-
-def pure_infiniteness(pair: MatrixPair) -> Verdict:
-    return _pure_infiniteness(simplicity(pair))
-
-
-def katsura_classic_check(pair: MatrixPair) -> Verdict:
-    """The classical sufficient conditions: A irreducible with A[i][i] >= 2
-    and B[i][i] = 1 everywhere."""
-    problems = []
-    if not matrices.graph_facts(pair).irreducible:
-        problems.append(Reason("not-irreducible", "A is not irreducible"))
-    for i in pair.vertices:
-        if pair.a_at(i, i) < 2:
-            problems.append(Reason("diagonal-A", f"A[{i}][{i}] = {pair.a_at(i, i)} < 2"))
-        if pair.b_at(i, i) != 1:
-            problems.append(Reason("diagonal-B", f"B[{i}][{i}] = {pair.b_at(i, i)} != 1"))
-    if problems:
-        return Verdict("no", tuple(problems))
-    return _yes("classic-conditions", "A irreducible, A[i][i] >= 2 and B[i][i] = 1 for all i")
 
 
 @dataclass(frozen=True)
@@ -316,10 +262,18 @@ def _check_consistency(report: AnalysisReport) -> None:
 
 
 def analyze(pair: MatrixPair) -> AnalysisReport:
-    """Full report on the pair."""
+    """Full report on the pair, the one source of its verdicts.  Each graph
+    fact comes from one pass; the escape verdict is computed only under
+    conditions (E) and (L), the only place a verdict reads it.  Minimality
+    is exact: the action is minimal iff A is irreducible."""
     facts = matrices.graph_facts(pair)
-    escape = _escape(pair, facts)
-    minimal = _minimality(facts.irreducible)
+    escape = fixed_point_escape(pair) if facts.condition_e and facts.condition_l else None
+    minimal = _bool_verdict(
+        facts.irreducible,
+        "irreducible",
+        "the support digraph is strongly connected",
+        "the support digraph is not strongly connected",
+    )
     top_free = _freeness(facts, escape)
     simple = _simplicity(facts, escape)
     if facts.condition_e:

@@ -1,4 +1,16 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the limits on what an
+answer may hold: the letter budget and the interpreter's digit limit for
+printing integers.  Past either, an answer is a DomainError, not a hang or
+a traceback."""
+
+import sys
+
+# The most letters an answer may hold: edges of a path word or of an
+# element's two path words, or entries of a realized pair's matrices.  With
+# small matrix entries a letter costs about a microsecond, so the largest
+# answer takes a fraction of a second; a larger one is refused with a
+# DomainError.
+LETTER_BUDGET = 100_000
 
 
 class KatsuraError(Exception):
@@ -41,3 +53,15 @@ class CertificationError(KatsuraError):
 
 class DepthCapExceeded(KatsuraError):
     """A lazily unfolded computation did not stabilize within the configured cap."""
+
+
+def format_int(x: int) -> str:
+    """Decimal text of x; an integer past the interpreter's digit limit is a
+    DomainError that names the limit."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DomainError(
+            f"the answer holds an integer of more than {sys.get_int_max_str_digits()} digits,"
+            " the interpreter's limit for printing integers"
+        ) from None

@@ -99,11 +99,8 @@ def push_unitary(
     t = exponent
     out = []
     for i, j, n in edges:
-        a = pair.a_at(i, j)
-        shifted = n + t * pair.b_at(i, j)
-        m = (shifted - 1) % a + 1
-        out.append((i, j, m))
-        t = (shifted - m) // a
+        t, r = divmod(n - 1 + t * pair.b[i - 1][j - 1], pair.a[i - 1][j - 1])
+        out.append((i, j, r + 1))
     return tuple(out), t
 
 
@@ -122,10 +119,8 @@ def generator_s(pair: MatrixPair, i: int, j: int, n: int) -> Triple:
     folding the excess into a trailing unitary power."""
     if pair.a_at(i, j) == 0:
         raise StructuralError(f"({i},{j}) is not a support arc")
-    a = pair.a_at(i, j)
-    m = (n - 1) % a + 1
-    carry = (n - m) // a
-    return triple(pair, PathWord(i, ((i, j, m),)), carry, empty_path(j))
+    edges, carry = push_unitary(pair, i, 0, ((i, j, n),))
+    return triple(pair, PathWord(i, edges), carry, empty_path(j))
 
 
 def unitary(pair: MatrixPair, vertex: int, exponent: int = 1) -> Triple:

@@ -9,7 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CertificationError, StructuralError, UnrealizableWithSquareMatrices
+from .errors import (
+    LETTER_BUDGET,
+    CertificationError,
+    DomainError,
+    StructuralError,
+    UnrealizableWithSquareMatrices,
+    format_int,
+)
 from .matrices import MatrixPair, graph_facts
 
 Matrix = list[list[int]]
@@ -17,14 +24,6 @@ Matrix = list[list[int]]
 
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    rows, inner, cols = len(x), len(y), len(y[0])
-    return [
-        [sum(x[i][k] * y[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
 
 
 @dataclass(frozen=True)
@@ -263,16 +262,22 @@ def realize(g0: AbelianGroup, g1: AbelianGroup) -> Realization:
     B[i][i] = 1.  All four clauses are re-verified before returning.
 
     Square matrices force equal free ranks of the two K-groups, so
-    mismatched inputs are rejected up front.
+    mismatched inputs are rejected up front, as is a pair of more than
+    LETTER_BUDGET entries.
     """
     if g0.free_rank != g1.free_rank:
         raise UnrealizableWithSquareMatrices(
-            f"free ranks differ ({g0.free_rank} vs {g1.free_rank}); "
+            f"free ranks differ ({format_int(g0.free_rank)} vs {format_int(g1.free_rank)}); "
             "square matrices force them equal"
         )
     half = max(len(g0.torsion) + g0.free_rank, len(g1.torsion), 1)
     if not g0.torsion and g0.free_rank == half and half >= 2:
         half += 1  # avoid the all-zero target, which no unimodular move can densify
+    if (2 * half) ** 2 > LETTER_BUDGET:
+        raise DomainError(
+            f"the realizing pair would have more than {LETTER_BUDGET} matrix entries,"
+            " the letter budget for an answer"
+        )
 
     diag_a = list(g0.torsion) + [1] * (half - len(g0.torsion) - g0.free_rank) + [0] * g0.free_rank
     diag_b = list(g1.torsion) + [1] * (half - len(g1.torsion))

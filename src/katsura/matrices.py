@@ -101,21 +101,6 @@ class MatrixPair:
         return Fraction(self.b_at(i, j), self.a_at(i, j))
 
 
-def _reachable_from(pair: MatrixPair, start: int) -> set[int]:
-    """Vertices reachable from `start` by paths of length >= 1 over the support."""
-    seen: set[int] = set()
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in pair.out_vertices(v):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
-
-
 def strongly_connected_components(pair: MatrixPair) -> list[tuple[int, ...]]:
     """Strongly connected components of the support digraph, each sorted,
     listed sinks first.
@@ -213,88 +198,3 @@ def graph_facts(pair: MatrixPair) -> GraphFacts:
             component[i] == component[j] for i, js in enumerate(succ, 1) for j in js
         ),
     )
-
-
-def simple_vertex_cycles(pair: MatrixPair, max_len: int | None = None) -> list[tuple[int, ...]]:
-    """Vertex-simple cycles of the support digraph as vertex tuples, one per
-    rotation class, rooted at their minimal vertex.
-
-    Depth-first over paths with an explicit stack, one successor iterator
-    per path vertex, so a long cycle does not hit the recursion limit."""
-    cap = pair.n if max_len is None else min(max_len, pair.n)
-    succ = pair.sections
-    out: list[tuple[int, ...]] = []
-    for root in pair.vertices:
-        path = [root]
-        on_path = {root}
-        work = [iter(succ[root - 1])]
-        while work:
-            for w in work[-1]:
-                if w == root:
-                    out.append(tuple(path))
-                elif w > root and w not in on_path and len(path) < cap:
-                    path.append(w)
-                    on_path.add(w)
-                    work.append(iter(succ[w - 1]))
-                    break
-            else:
-                work.pop()
-                on_path.discard(path.pop())
-    return out
-
-
-def enumerate_simple_cycles(pair: MatrixPair, max_len: int) -> list[tuple[Edge, ...]]:
-    """All vertex-simple edge cycles of length <= max_len, each listed once,
-    rotated to start at its minimal vertex (the lexicographically least
-    rotation of the edge sequence)."""
-    if max_len < 1:
-        raise StructuralError("max_len must be >= 1")
-    cycles: list[tuple[Edge, ...]] = []
-    for verts in simple_vertex_cycles(pair, max_len):
-        arcs = [(verts[t], verts[(t + 1) % len(verts)]) for t in range(len(verts))]
-        choices: list[tuple[Edge, ...]] = [()]
-        for i, j in arcs:
-            choices = [
-                prefix + ((i, j, n),)
-                for prefix in choices
-                for n in range(1, pair.a_at(i, j) + 1)
-            ]
-        cycles.extend(choices)
-    cycles.sort()
-    return cycles
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """A closed edge path: consecutive endpoints match and it returns to its start."""
-
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        if not self.edges:
-            raise StructuralError("a cycle has at least one edge")
-        for (_, j, _), (i2, _, _) in zip(self.edges, self.edges[1:]):
-            if j != i2:
-                raise StructuralError("cycle edges do not chain")
-        if self.edges[-1][1] != self.edges[0][0]:
-            raise StructuralError("cycle is not closed")
-
-    def vertex_set(self) -> set[int]:
-        return {i for (i, _, _) in self.edges}
-
-
-def is_transitory(pair: MatrixPair, cycle: Cycle) -> bool:
-    """True iff no exit edge of the cycle starts a path returning to the cycle."""
-    for e in cycle.edges:
-        if not pair.has_edge(e):
-            raise StructuralError(f"edge {e} is not an edge of the pair's graph")
-    on_cycle = cycle.vertex_set()
-    cycle_edges = set(cycle.edges)
-    for u in sorted(on_cycle):
-        for w in pair.out_vertices(u):
-            for n in range(1, pair.a_at(u, w) + 1):
-                if (u, w, n) in cycle_edges:
-                    continue
-                if w in on_cycle or _reachable_from(pair, w) & on_cycle:
-                    return False
-    return True

@@ -19,23 +19,23 @@ import sys
 
 from . import invsemigroup as isg
 from . import semigroupoid as sgp
-from .errors import DomainError, ExprParseError, SemanticError, StructuralError
+from .errors import (
+    LETTER_BUDGET,
+    DomainError,
+    ExprParseError,
+    SemanticError,
+    StructuralError,
+    format_int,
+)
 from .invsemigroup import ISgElement, PathWord, Zero, ZERO
 from .ktheory import AbelianGroup, abelian_group
 from .matrices import MatrixPair
 from .pathspace import EventuallyPeriodicPath, periodic_point
 
 
-def format_int(x: int) -> str:
-    """Decimal text of x; an integer past the interpreter's digit limit is a
-    DomainError that names the limit."""
-    try:
-        return str(x)
-    except ValueError:
-        raise DomainError(
-            f"the answer holds an integer of more than {sys.get_int_max_str_digits()} digits,"
-            " the interpreter's limit for printing integers"
-        ) from None
+# Parenthesized groups nest at most this deep; the expression parser
+# recurses once per level, so a deeper text would exhaust the stack.
+NESTING_LIMIT = 100
 
 
 class _Scanner:
@@ -136,29 +136,42 @@ def parse_semigroupoid(text: str, pair: MatrixPair) -> sgp.SgpElement:
 def format_semigroupoid(e: sgp.SgpElement) -> str:
     if isinstance(e, sgp.HPower):
         return f"h({e.vertex})" if e.exponent == 1 else f"h({e.vertex})^{format_int(e.exponent)}"
-    return ".".join(f"g({i},{j},{n})" for i, j, n in e.edges)
+    *interior, (i, j, n) = e.edges
+    # interior offsets lie in [1, A]; only the free final offset can be too long to print
+    return ".".join([f"g({a},{b},{m})" for a, b, m in interior] + [f"g({i},{j},{format_int(n)})"])
 
 
 # -- inverse semigroup expressions --------------------------------------------
 
 def parse_isg(text: str, pair: MatrixPair) -> ISgElement:
     sc = _Scanner(text)
-    result = _parse_isg_product(sc, pair, text)
+    result = _parse_isg_product(sc, pair, text, 0)
     sc.done()
     return result
 
 
-def _parse_isg_product(sc: _Scanner, pair: MatrixPair, text: str) -> ISgElement:
-    result = _parse_isg_factor(sc, pair, text)
+def _multiply(pair: MatrixPair, x: ISgElement, y: ISgElement) -> ISgElement:
+    """The product, refused once its two path words hold more letters than
+    the budget allows."""
+    z = isg.multiply(pair, x, y)
+    if not isinstance(z, Zero) and len(z.left.edges) + len(z.right.edges) > LETTER_BUDGET:
+        raise DomainError(f"the element would hold more than {LETTER_BUDGET} letters, the letter budget")
+    return z
+
+
+def _parse_isg_product(sc: _Scanner, pair: MatrixPair, text: str, depth: int) -> ISgElement:
+    result = _parse_isg_factor(sc, pair, text, depth)
     while sc.try_take("."):
-        result = isg.multiply(pair, result, _parse_isg_factor(sc, pair, text))
+        result = _multiply(pair, result, _parse_isg_factor(sc, pair, text, depth))
     return result
 
 
-def _parse_isg_factor(sc: _Scanner, pair: MatrixPair, text: str) -> ISgElement:
+def _parse_isg_factor(sc: _Scanner, pair: MatrixPair, text: str, depth: int) -> ISgElement:
     pos = sc.pos
     if sc.try_take("("):
-        elem = _parse_isg_product(sc, pair, text)
+        if depth == NESTING_LIMIT:
+            raise ExprParseError(pos, f"at most {NESTING_LIMIT} nested parentheses", text)
+        elem = _parse_isg_product(sc, pair, text, depth + 1)
         sc.take(")")
     elif sc.try_take("s("):
         i = sc.integer()
@@ -195,7 +208,8 @@ def _parse_isg_factor(sc: _Scanner, pair: MatrixPair, text: str) -> ISgElement:
 def _isg_power(pair: MatrixPair, elem: ISgElement, k: int) -> ISgElement:
     """elem^k by repeated squaring over the bits of |k|, most significant
     first; elem^0 is its source projection and a negative power is a power
-    of the adjoint."""
+    of the adjoint.  A power past the letter budget is refused at the first
+    square that exceeds it; an idempotent's squares never grow."""
     if isinstance(elem, Zero):
         return ZERO
     if k == 0:
@@ -203,9 +217,9 @@ def _isg_power(pair: MatrixPair, elem: ISgElement, k: int) -> ISgElement:
     base = elem if k > 0 else isg.star(elem)
     out = base
     for bit in bin(abs(k))[3:]:
-        out = isg.multiply(pair, out, out)
+        out = _multiply(pair, out, out)
         if bit == "1":
-            out = isg.multiply(pair, out, base)
+            out = _multiply(pair, out, base)
     return out
 
 
@@ -369,6 +383,8 @@ def parse_matrix_file(data: bytes | str) -> MatrixPair:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ExprParseError(exc.pos, "well-formed JSON", text) from exc
+    except RecursionError:  # arrays or objects nested past the interpreter's stack
+        raise ExprParseError(0, "JSON nested less deeply than the interpreter's recursion limit", text) from None
     except ValueError:  # an integer literal past the interpreter's digit limit
         limit = sys.get_int_max_str_digits()
         raise ExprParseError(0, f"integers of at most {limit} digits", text) from None

@@ -31,12 +31,6 @@ from .matrices import Edge, MatrixPair
 FinitePath = PathWord
 
 
-def cylinder_subset(gamma: PathWord, delta: PathWord) -> bool:
-    """Whether the cylinder of gamma is contained in the cylinder of delta:
-    delta must be a prefix of gamma."""
-    return is_prefix(delta, gamma)
-
-
 @dataclass(frozen=True)
 class EventuallyPeriodicPath:
     """preperiod . period . period . ...  The period is a cycle based at the
@@ -222,44 +216,12 @@ def generate_fixed_point(
     return PathWord(right.base, tuple(out[:depth]))
 
 
-def integrality_trace(
-    pair: MatrixPair, exponent: int, edges: tuple[Edge, ...]
-) -> list[Fraction]:
-    """The sequence K_1..K_len(edges) with K_0 = exponent and
-    K_j = K_{j-1} * B/A along each edge."""
-    k = Fraction(exponent)
-    out = []
-    for i, j, _ in edges:
-        k = k * Fraction(pair.b_at(i, j), pair.a_at(i, j))
-        out.append(k)
-    return out
-
-
-@dataclass(frozen=True)
-class FixedPointTrace:
-    """K_0..K_{p+q} along preperiod plus one period, and the period's
-    ratio product.  Zero propagates: after a vanishing B the tail is zero."""
-
-    kseq: tuple[Fraction, ...]
-    ratio: Fraction
-
-
-def fixed_point_trace(
-    pair: MatrixPair, exponent: int, x: EventuallyPeriodicPath
-) -> FixedPointTrace:
-    edges = x.preperiod.edges + x.period.edges
-    kseq = (Fraction(exponent),) + tuple(integrality_trace(pair, exponent, edges))
-    ratio = Fraction(1)
-    for i, j, _ in x.period.edges:
-        ratio *= Fraction(pair.b_at(i, j), pair.a_at(i, j))
-    return FixedPointTrace(kseq, ratio)
-
-
 def is_fixed_by_unitary(
     pair: MatrixPair, vertex: int, exponent: int, x: EventuallyPeriodicPath
 ) -> bool:
-    """Whether the vertex unitary's power fixes the point: all terms of the
-    integrality trace along x must be integers.
+    """Whether the vertex unitary's power fixes the point: every term of the
+    integrality trace K_0 = exponent, K_j = K_(j-1) * B/A along the j-th
+    letter of x must be an integer.
 
     One pass over preperiod plus period suffices: once K hits zero it stays
     zero, and otherwise the per-prime valuations evolve linearly with the
@@ -270,117 +232,18 @@ def is_fixed_by_unitary(
         raise StructuralError(f"point starts at {x.source}, not {vertex}")
     if exponent == 0:
         return True
-    trace = fixed_point_trace(pair, exponent, x)
-    if any(k.denominator != 1 for k in trace.kseq):
-        return False
-    if any(k == 0 for k in trace.kseq[1:]):
-        return True
-    return trace.ratio.denominator == 1
-
-
-@dataclass(frozen=True)
-class FixedCylinderResult:
-    value: str  # "yes" | "no" | "unknown"
-    witness: FinitePath | None = None
-
-
-def _vertex_divisibility_certificate(pair: MatrixPair) -> dict[int, bool]:
-    """Per vertex: does every arc in its forward-reachable part satisfy A | B?
-    If so, any integer trace value stays integral along every continuation."""
-    good_arc = {
-        (i, j): pair.b_at(i, j) % pair.a_at(i, j) == 0
-        for i in pair.vertices
-        for j in pair.out_vertices(i)
-    }
-    cert = {}
-    for v in pair.vertices:
-        seen = {v}
-        stack = [v]
-        ok = True
-        while stack and ok:
-            u = stack.pop()
-            for w in pair.out_vertices(u):
-                if not good_arc[(u, w)]:
-                    ok = False
-                    break
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        cert[v] = ok
-    return cert
-
-
-def has_fixed_cylinder(
-    pair: MatrixPair, vertex: int, exponent: int, state_cap: int = 64
-) -> FixedCylinderResult:
-    """Search for a cylinder every point of which is fixed by the vertex
-    unitary's power.
-
-    States are (vertex, exact trace value); transitions multiply by B/A per
-    support arc.  A state is certainly good when its trace is zero or when
-    every forward-reachable arc has A | B.  When the integral part of the
-    state graph closes within the cap, the answer is exact: a cylinder
-    exists iff some explored state cannot reach a state with a
-    non-integral outgoing step.  Otherwise the answer is Unknown.
-    """
-    if exponent == 0:
-        raise DomainError("probe exponent must be nonzero")
-    cert = _vertex_divisibility_certificate(pair)
-    start = (vertex, Fraction(exponent))
-    parent: dict[tuple[int, Fraction], tuple[tuple[int, Fraction], Edge] | None] = {start: None}
-
-    def witness_path(state: tuple[int, Fraction]) -> FinitePath:
-        steps: list[Edge] = []
-        cur: tuple[int, Fraction] | None = state
-        while parent[cur] is not None:
-            prev, edge = parent[cur]
-            steps.append(edge)
-            cur = prev
-        steps.reverse()
-        return PathWord(vertex, tuple(steps))
-
-    queue = [start]
-    explored: list[tuple[int, Fraction]] = []
-    breaking: set[tuple[int, Fraction]] = set()
-    edges_out: dict[tuple[int, Fraction], list[tuple[int, Fraction]]] = {}
-    truncated = False
-    while queue:
-        state = queue.pop(0)
-        v, k = state
-        explored.append(state)
-        if k == 0 or cert[v]:
-            return FixedCylinderResult("yes", witness_path(state))
-        edges_out[state] = []
-        for w in pair.out_vertices(v):
-            k2 = k * Fraction(pair.b_at(v, w), pair.a_at(v, w))
-            if k2.denominator != 1:
-                breaking.add(state)
-                continue
-            nxt = (w, k2)
-            edges_out[state].append(nxt)
-            if nxt not in parent:
-                if len(parent) >= state_cap:
-                    truncated = True
-                else:
-                    parent[nxt] = (state, (v, w, 1))
-                    queue.append(nxt)
-    if truncated:
-        return FixedCylinderResult("unknown")
-    # closed state graph: a state that cannot reach a breaking state is good
-    reaches_break = set(breaking)
-    changed = True
-    while changed:
-        changed = False
-        for state in explored:
-            if state not in reaches_break and any(
-                n in reaches_break for n in edges_out[state]
-            ):
-                reaches_break.add(state)
-                changed = True
-    for state in explored:
-        if state not in reaches_break:
-            return FixedCylinderResult("yes", witness_path(state))
-    return FixedCylinderResult("no")
+    k = Fraction(exponent)
+    period_ratio = Fraction(1)
+    for step, (i, j, _) in enumerate(x.preperiod.edges + x.period.edges):
+        r = pair.ratio(i, j)
+        k *= r
+        if k.denominator != 1:
+            return False
+        if k == 0:
+            return True
+        if step >= len(x.preperiod):
+            period_ratio *= r
+    return period_ratio.denominator == 1
 
 
 def _cylinder_projection(pair: MatrixPair, prefix: PathWord) -> Triple:

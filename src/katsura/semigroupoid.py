@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import CompositionError, DomainError
+from .errors import CompositionError, DomainError, format_int
+from .invsemigroup import push_unitary
 from .matrices import Edge, MatrixPair
 
 
@@ -108,20 +109,6 @@ def _check_raw(pair: MatrixPair, word: Sequence[RawAtom]) -> None:
             )
 
 
-def _sweep(pair: MatrixPair, offsets: list[int], arcs: list[tuple[int, int]]) -> list[int]:
-    """Left-to-right offset reduction: write each interior offset as
-    m + c*A with m in [1, A] and push c*B into the next offset."""
-    for t in range(len(offsets) - 1):
-        i, j = arcs[t]
-        a = pair.a_at(i, j)
-        m = (offsets[t] - 1) % a + 1
-        carry = (offsets[t] - m) // a
-        offsets[t] = m
-        j2, k2 = arcs[t + 1]
-        offsets[t + 1] += carry * pair.b_at(j2, k2)
-    return offsets
-
-
 def standard_form(pair: MatrixPair, word: Sequence[RawAtom]) -> SgpElement:
     """Normalize a raw word: absorb h-atoms into neighboring g-atoms, then
     reduce interior offsets left to right.  The result is the unique
@@ -132,7 +119,7 @@ def standard_form(pair: MatrixPair, word: Sequence[RawAtom]) -> SgpElement:
         total = sum(a.exponent for a in atoms)
         if total < 1:
             raise DomainError(
-                f"pure h-word at vertex {atoms[0].vertex} has nonpositive exponent sum {total}"
+                f"pure h-word at vertex {atoms[0].vertex} has nonpositive exponent sum {format_int(total)}"
             )
         return HPower(atoms[0].vertex, total)
 
@@ -145,14 +132,11 @@ def standard_form(pair: MatrixPair, word: Sequence[RawAtom]) -> SgpElement:
             i, j, n = atom
             edges.append((i, j, n + pending * pair.b_at(i, j)))
             pending = 0
-    if pending:
-        # trailing h-run: absorb into the preceding g through its A-shift
-        i, j, n = edges[-1]
-        edges[-1] = (i, j, n + pending * pair.a_at(i, j))
-
-    arcs = [(i, j) for (i, j, _) in edges]
-    offsets = _sweep(pair, [n for (_, _, n) in edges], arcs)
-    return GWord(tuple((i, j, n) for (i, j), n in zip(arcs, offsets)))
+    # fold every interior offset into [1, A], carrying into the next letter;
+    # a trailing h-run absorbs into the last g through its A-shift
+    folded, carry = push_unitary(pair, edges[0][0], 0, tuple(edges[:-1]))
+    i, j, n = edges[-1]
+    return GWord(folded + ((i, j, n + carry * pair.b_at(i, j) + pending * pair.a_at(i, j)),))
 
 
 def compose(pair: MatrixPair, f: SgpElement, gel: SgpElement) -> SgpElement | None:

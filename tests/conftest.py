@@ -11,8 +11,10 @@ import re
 from fractions import Fraction
 
 from katsura.invsemigroup import PathWord, Triple, triple
-from katsura.matrices import MatrixPair, simple_vertex_cycles
+from katsura.matrices import MatrixPair
 from katsura.semigroupoid import GWord, HPower
+
+from oracles import simple_vertex_cycles
 
 
 def random_pair(

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from katsura.decisions import analyze, fixed_point_escape, topological_freeness
+from katsura.decisions import analyze, fixed_point_escape
 from katsura.errors import UnrealizableWithSquareMatrices
 from katsura.invsemigroup import (
     PathWord,
@@ -21,7 +21,7 @@ from katsura.invsemigroup import (
     star,
     triple,
 )
-from katsura.ktheory import AbelianGroup, k_groups, mat_mul, realize, smith_normal_form
+from katsura.ktheory import AbelianGroup, k_groups, realize, smith_normal_form
 from katsura.matrices import MatrixPair, graph_facts
 from katsura.parsing import format_group
 from katsura.pathspace import (
@@ -34,7 +34,6 @@ from katsura.pathspace import (
     germ_equal,
     germ_inverse,
     germ_range,
-    has_fixed_cylinder,
     is_fixed_by_unitary,
 )
 from katsura.semigroupoid import (
@@ -59,6 +58,7 @@ from conftest import (
     random_raw_word,
     random_walk,
 )
+from oracles import has_fixed_cylinder, mat_mul
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
 FLIP = MatrixPair.from_rows([[0, 1], [1, 0]], [[0, 1], [1, 0]])
@@ -378,7 +378,7 @@ def test_criterion_08_essential_principality_bridge():
             assert result != "no"
             witnessed += 1
             confirmed += result == "yes"
-        verdict = topological_freeness(pair)
+        verdict = analyze(pair).topologically_free
         if not graph_facts(pair).condition_l:
             assert verdict.value == "no"
         else:

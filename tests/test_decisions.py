@@ -2,27 +2,13 @@ import random
 
 import pytest
 
-from katsura.decisions import (
-    Verdict,
-    analyze,
-    fixed_point_escape,
-    katsura_classic_check,
-    locally_contracting,
-    minimality,
-    pure_infiniteness,
-    simplicity,
-    topological_freeness,
-)
+from katsura.decisions import Verdict, analyze, fixed_point_escape
 from katsura import cli, ktheory, matrices
 from katsura.errors import StructuralError
-from katsura.matrices import (
-    MatrixPair,
-    graph_facts,
-    simple_vertex_cycles,
-)
-from katsura.pathspace import has_fixed_cylinder
+from katsura.matrices import MatrixPair, graph_facts
 
 from conftest import cycle_ratio_denominators, escape_witness, random_pair
+from oracles import has_fixed_cylinder, katsura_classic_check, simple_vertex_cycles
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
 FLIP = MatrixPair.from_rows([[0, 1], [1, 0]], [[0, 1], [1, 0]])
@@ -31,82 +17,82 @@ UPPER = MatrixPair.from_rows([[2, 1], [0, 2]], [[1, 1], [0, 1]])
 
 class TestMinimality:
     def test_yes(self):
-        assert minimality(E1).value == "yes"
+        assert analyze(E1).minimal.value == "yes"
 
     def test_no(self):
-        assert minimality(UPPER).value == "no"
+        assert analyze(UPPER).minimal.value == "no"
 
     def test_single_vertex(self):
-        assert minimality(MatrixPair.from_rows([[3]], [[1]])).value == "yes"
+        assert analyze(MatrixPair.from_rows([[3]], [[1]])).minimal.value == "yes"
 
     def test_reasons_present(self):
-        assert minimality(E1).reasons
+        assert analyze(E1).minimal.reasons
         with pytest.raises(StructuralError):
             Verdict("yes", ())
 
 
 class TestTopologicalFreeness:
     def test_contracting_loops(self):
-        assert topological_freeness(E1).value == "yes"
+        assert analyze(E1).topologically_free.value == "yes"
 
     def test_condition_l_failure(self):
-        v = topological_freeness(FLIP)
+        v = analyze(FLIP).topologically_free
         assert v.value == "no"
         assert any(r.tag == "condition-L-fails" for r in v.reasons)
 
     def test_ratio_one_loop_has_cylinder(self):
         pair = MatrixPair.from_rows([[2]], [[2]])
-        v = topological_freeness(pair)
+        v = analyze(pair).topologically_free
         assert v.value == "no"
         assert any(r.tag == "fixed-cylinder" for r in v.reasons)
 
     def test_condition_e_failure(self):
         pair = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 0], [1, 1]])
-        assert topological_freeness(pair).value == "no"
+        assert analyze(pair).topologically_free.value == "no"
 
 
 class TestSimplicity:
     def test_yes_pipeline(self):
-        assert simplicity(E1).value == "yes"
+        assert analyze(E1).simple.value == "yes"
 
     def test_yes_when_one_valuation_contracts(self):
         # ratio 3/2 around the loop: the exponent of 2 drops on every turn
-        assert simplicity(MatrixPair.from_rows([[2]], [[3]])).value == "yes"
+        assert analyze(MatrixPair.from_rows([[2]], [[3]])).simple.value == "yes"
 
     def test_no_via_condition_l(self):
-        assert simplicity(FLIP).value == "no"
+        assert analyze(FLIP).simple.value == "no"
 
     def test_no_via_irreducibility(self):
-        assert simplicity(UPPER).value == "no"
+        assert analyze(UPPER).simple.value == "no"
 
     def test_unknown_without_condition_e(self):
         pair = MatrixPair.from_rows([[2]], [[0]])
-        v = simplicity(pair)
+        v = analyze(pair).simple
         assert v.value == "unknown"
         assert any(r.tag == "requires-condition-E" for r in v.reasons)
 
 
 class TestLocallyContracting:
     def test_yes(self):
-        assert locally_contracting(E1).value == "yes"
+        assert analyze(E1).locally_contracting.value == "yes"
 
     def test_unknown_without_condition_l(self):
-        assert locally_contracting(FLIP).value == "unknown"
+        assert analyze(FLIP).locally_contracting.value == "unknown"
 
     def test_unknown_without_extension(self):
-        assert locally_contracting(UPPER).value == "unknown"
+        assert analyze(UPPER).locally_contracting.value == "unknown"
 
 
 class TestPureInfiniteness:
     def test_yes(self):
-        assert pure_infiniteness(E1).value == "yes"
+        assert analyze(E1).purely_infinite_simple.value == "yes"
 
     def test_no(self):
-        assert pure_infiniteness(FLIP).value == "no"
+        assert analyze(FLIP).purely_infinite_simple.value == "no"
 
     def test_unknown_propagates(self):
         pair = MatrixPair.from_rows([[2]], [[0]])
-        assert pure_infiniteness(pair).value == "unknown"
+        assert analyze(pair).purely_infinite_simple.value == "unknown"
 
 
 class TestClassicCheck:
@@ -127,7 +113,7 @@ class TestClassicCheck:
             pair = random_pair(rng, n_max=3, a_max=3, ensure_e=True)
             if katsura_classic_check(pair).value != "yes":
                 continue
-            assert simplicity(pair).value in ("yes", "unknown")
+            assert analyze(pair).simple.value in ("yes", "unknown")
 
 
 class TestAnalyze:
@@ -216,7 +202,7 @@ class TestProbes:
                 continue
             checked += 1
             if graph_facts(pair).condition_l:
-                assert topological_freeness(pair).value == "yes"
+                assert analyze(pair).topologically_free.value == "yes"
             exponents = set(range(1, 13)) | cycle_ratio_denominators(pair)
             for v in pair.vertices:
                 for l in exponents:
@@ -278,7 +264,7 @@ class TestProbes:
             if not graph_facts(pair).condition_l:
                 continue
             if fixed_point_escape(pair).value == "no":
-                assert topological_freeness(pair).value == "no"
+                assert analyze(pair).topologically_free.value == "no"
 
 
 def long_cycle(n, chord=False):

@@ -3,17 +3,10 @@ import random
 import pytest
 
 from katsura.errors import StructuralError
-from katsura.matrices import (
-    Cycle,
-    MatrixPair,
-    enumerate_simple_cycles,
-    graph_facts,
-    is_transitory,
-    simple_vertex_cycles,
-    strongly_connected_components,
-)
+from katsura.matrices import MatrixPair, graph_facts, strongly_connected_components
 
 from conftest import random_pair
+from oracles import Cycle, enumerate_simple_cycles, is_transitory, simple_vertex_cycles
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
 
