@@ -1,6 +1,15 @@
 """Exact integer linear algebra: Smith normal form, K-groups, and
 realization of prescribed K-groups by a certified pair construction.
 
+A cokernel Z^m / MZ^n is fixed up to isomorphism by the rank of M and the
+entries of any diagonal matrix D = UMV with U and V unimodular: it is
+Z^(m - rank) plus the sum of the Z/d.  So `k_groups` and `cokernel` read
+it off `diagonal_form`, a sparse elimination that keeps neither U nor V
+and does not make the diagonal a divisor chain; `abelian_group` then
+normalizes the cyclic orders.  `smith_normal_form` keeps both witnesses
+and the divisor chain, for callers that need the transforms themselves;
+the tests check `diagonal_form` against it.
+
 Everything is plain Python integers; no precision limits apply.
 """
 
@@ -8,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Mapping, Sequence
 
 from .errors import (
     LETTER_BUDGET,
@@ -203,12 +213,128 @@ def abelian_group(free_rank: int, cyclic_orders: list[int]) -> AbelianGroup:
     return AbelianGroup(free_rank, chain)
 
 
+def _subtract_row(live: dict, cols: dict, i: int, r: int, q: int) -> None:
+    """Row i -= q * row r, keeping the column index sets; a row that
+    becomes zero leaves the matrix."""
+    row = live[i]
+    for j, x in live[r].items():
+        y = row.get(j)
+        if y is None:
+            row[j] = -q * x
+            cols[j].add(i)
+            continue
+        y -= q * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+            cols[j].discard(i)
+    if not row:
+        del live[i]
+
+
+def _settle(live: dict, cols: dict, r: int, c: int, touched: set) -> int:
+    """Eliminate the pivot at (r, c), returning its absolute value.
+
+    Row operations clear the pivot's column and column operations its row;
+    once the column holds the pivot alone, a column operation changes the
+    pivot's row and nothing else.  Each pass leaves remainders smaller than
+    the pivot, and the pivot moves to the smallest of them, so the pivot
+    shrinks until both are clear: Euclid's algorithm on a row and a column
+    at once.  Every row changed on the way goes into `touched`.
+    """
+    while True:
+        p = live[r][c]
+        for i in list(cols[c]):
+            if i != r:
+                q = live[i][c] // p
+                if q:
+                    _subtract_row(live, cols, i, r, q)
+                    touched.add(i)
+        if len(cols[c]) > 1:
+            r = min(cols[c], key=lambda i: abs(live[i][c]))
+            continue
+        row = live[r]
+        for j in list(row):
+            if j != c:
+                y = row[j] % p
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(r)
+        if len(row) > 1:
+            touched.add(r)
+            c = min((j for j in row if j != c), key=lambda j: abs(row[j]))
+            continue
+        del live[r], cols[c]
+        return abs(p)
+
+
+def diagonal_form(rows: Sequence[Mapping[int, int]]) -> tuple[int, list[int]]:
+    """The rank deficiency and the nonzero diagonal of a matrix equivalent
+    to the given one under unimodular row and column operations.
+
+    `rows` holds the matrix row by row, each row a mapping from column
+    index to entry; zero entries may be left out.  The answer is
+    (number of rows - rank, absolute values of the nonzero pivots), so the
+    cokernel is Z^zeros plus the sum of the Z/pivot; for a square matrix
+    the first number is the count of zeros on the diagonal.  Neither the
+    unimodular transforms nor the divisor chain of the Smith form is kept.
+
+    The matrix is stored as sparse rows plus, per column, the set of rows
+    holding it.  Each pivot is an entry of smallest absolute value, ties
+    going to the smallest Markowitz cost (row count - 1) * (column count -
+    1), which keeps fill-in low on sparse input.  A heap holds one key per
+    row, its smallest entry and that entry's cost, recomputed whenever the
+    row changes.  Column counts also move when other rows change, so a key
+    that comes up has its cost refreshed and goes back if the cost rose:
+    the smallest entry is exact, its cost as current as the keys are.
+    """
+    from heapq import heapify, heappop, heappush  # here, to keep it off the import path
+
+    live: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        row = {j: x for j, x in row.items() if x}
+        if row:
+            live[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+    latest: dict[int, tuple] = {}
+
+    def key(i: int) -> tuple:
+        row = live[i]
+        v = min(map(abs, row.values()))
+        count, j = min((len(cols[j]), j) for j, x in row.items() if x == v or x == -v)
+        latest[i] = k = (v, (len(row) - 1) * (count - 1), i, j)
+        return k
+
+    heap = [key(i) for i in live]
+    heapify(heap)
+    pivots = []
+    while live:
+        k = heappop(heap)
+        i = k[2]
+        if i not in live or latest[i] != k:
+            continue  # eliminated, or changed since this key was pushed
+        fresh = key(i)
+        if fresh[1] > k[1]:
+            heappush(heap, fresh)
+            continue
+        touched: set[int] = set()
+        pivots.append(_settle(live, cols, i, fresh[3], touched))
+        for i in touched & live.keys():
+            heappush(heap, key(i))
+    return len(rows) - len(pivots), pivots
+
+
 def cokernel(m: Matrix) -> AbelianGroup:
-    diag = smith_normal_form(m).diagonal()
-    zero_rows = len(m) - len(m[0]) if len(m) > len(m[0]) else 0
-    free = sum(1 for d in diag if d == 0) + zero_rows
-    torsion = tuple(sorted(d for d in diag if d >= 2))
-    return AbelianGroup(free, torsion)
+    if not m or not m[0]:
+        raise StructuralError("matrix must be nonempty")
+    if any(len(row) != len(m[0]) for row in m):
+        raise StructuralError("ragged matrix")
+    return abelian_group(*diagonal_form([dict(enumerate(row)) for row in m]))
 
 
 @dataclass(frozen=True)
@@ -217,18 +343,22 @@ class KTheoryResult:
     k1: AbelianGroup
 
 
-def _i_minus(m: tuple[tuple[int, ...], ...]) -> Matrix:
-    n = len(m)
-    return [[(1 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
-
-
 def k_groups(pair: MatrixPair) -> KTheoryResult:
     """K_0 = coker(I-A) + ker(I-B),  K_1 = coker(I-B) + ker(I-A).
 
-    One Smith form per matrix: I - A and I - B are square, so the rank of
+    One diagonal form per matrix: I - A and I - B are square, so the rank of
     each kernel is the free rank of the same matrix's cokernel (the zeros on
-    its Smith diagonal)."""
-    ca, cb = cokernel(_i_minus(pair.a)), cokernel(_i_minus(pair.b))
+    its diagonal).  Both matrices are built sparse from the row sections,
+    since B is supported inside the support of A."""
+
+    def identity_minus(m: tuple[tuple[int, ...], ...]) -> list[dict[int, int]]:
+        return [
+            {**{j - 1: -row[j - 1] for j in section}, i: 1 - row[i]}
+            for i, (row, section) in enumerate(zip(m, pair.sections))
+        ]
+
+    ca = abelian_group(*diagonal_form(identity_minus(pair.a)))
+    cb = abelian_group(*diagonal_form(identity_minus(pair.b)))
     free = ca.free_rank + cb.free_rank
     return KTheoryResult(k0=AbelianGroup(free, ca.torsion), k1=AbelianGroup(free, cb.torsion))
 

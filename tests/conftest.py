@@ -42,6 +42,24 @@ def random_pair(
     return MatrixPair.from_rows(a, b)
 
 
+def cycle_with_chords(
+    rng: random.Random, n: int, chords: int, reach: int | None = None
+) -> MatrixPair:
+    """A directed n-cycle plus `chords` further arcs, each jumping at most
+    `reach` steps ahead when given; A-entries 1..2 and B-entries nonzero
+    on the whole support, so condition E holds."""
+    arcs = {(i, (i + 1) % n) for i in range(n)}
+    while len(arcs) < n + chords:
+        i = rng.randrange(n)
+        arcs.add((i, (i + rng.randint(2, reach)) % n if reach else rng.randrange(n)))
+    a = [[0] * n for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
+    for i, j in sorted(arcs):
+        a[i][j] = rng.randint(1, 2)
+        b[i][j] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return MatrixPair.from_rows(a, b)
+
+
 def cycle_ratio_denominators(pair: MatrixPair) -> set[int]:
     """Denominators of the ratio products B/A around the simple cycles: the
     first exponents whose trace can stay integral around a loop."""

@@ -4,8 +4,10 @@ Nothing here runs in a command or a verdict.  Each function answers, by a
 second and usually slower route, a question the library decides another
 way: cycle enumeration for the graph conditions, the classical sufficient
 conditions for simplicity, a plain matrix product for Smith witnesses, the
-integrality trace term by term, and a capped search of the trace's state
-graph for cylinders of fixed points, the oracle of `fixed_point_escape`.
+Smith diagonal and a rank and determinant modulo a prime for the
+witness-free diagonal form, the integrality trace term by term, and a
+capped search of the trace's state graph for cylinders of fixed points,
+the oracle of `fixed_point_escape`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 from katsura.decisions import Reason, Verdict
 from katsura.errors import DomainError, StructuralError
 from katsura.invsemigroup import PathWord
+from katsura.ktheory import AbelianGroup, smith_normal_form
 from katsura.matrices import Edge, MatrixPair, graph_facts
 
 Matrix = list[list[int]]
@@ -27,6 +30,53 @@ def mat_mul(x: Matrix, y: Matrix) -> Matrix:
         [sum(x[i][k] * y[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)
     ]
+
+
+def smith_group(m: Matrix) -> AbelianGroup:
+    """The cokernel of a square matrix, read off its witness-carrying Smith
+    form: the zeros of the diagonal and its entries above 1, a divisor chain."""
+    diagonal = smith_normal_form(m).diagonal()
+    return AbelianGroup(diagonal.count(0), tuple(d for d in diagonal if d > 1))
+
+
+def rank_det_mod(rows: list[dict[int, int]], p: int) -> tuple[int, int]:
+    """Rank and determinant modulo the prime p of a square matrix given as
+    sparse rows, by Gaussian elimination over GF(p), column by column, each
+    column pivoting on the shortest row that holds it.  The determinant is
+    taken up to sign."""
+    rows = [{j: x % p for j, x in row.items() if x % p} for row in rows]
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    rank, det = 0, 1
+    for c in range(len(rows)):
+        column = holders.pop(c, set())
+        if not column:
+            det = 0
+            continue
+        r = min(column, key=lambda i: (len(rows[i]), i))
+        pivot = rows[r]
+        inverse = pow(pivot[c], -1, p)
+        for j in pivot:
+            if j != c:
+                holders[j].discard(r)
+        for i in column - {r}:
+            row = rows[i]
+            f = row.pop(c) * inverse % p
+            for j, x in pivot.items():
+                if j == c:
+                    continue
+                y = (row.get(j, 0) - f * x) % p
+                if y:
+                    row[j] = y
+                    holders[j].add(i)
+                elif j in row:
+                    del row[j]
+                    holders[j].discard(i)
+        rank += 1
+        det = det * pivot[c] % p
+    return rank, det
 
 
 def _reachable_from(pair: MatrixPair, start: int) -> set[int]:

@@ -155,9 +155,9 @@ class TestAnalyze:
                 assert rep.essentially_principal.value == rep.topologically_free.value
 
     def test_each_fact_computed_once(self, monkeypatch, tmp_path, capsys):
-        # one Smith form per matrix, one SCC pass, and no validity check
-        # beyond the one that builds the pair
-        calls = {"smith": 0, "scc": 0, "check": 0}
+        # one diagonal form per matrix, no witness-carrying Smith form, one
+        # SCC pass, and no validity check beyond the one that builds the pair
+        calls = {"diagonal": 0, "smith": 0, "scc": 0, "check": 0}
 
         def counting(key, fn):
             def wrapper(*args):
@@ -166,6 +166,7 @@ class TestAnalyze:
 
             return wrapper
 
+        monkeypatch.setattr(ktheory, "diagonal_form", counting("diagonal", ktheory.diagonal_form))
         monkeypatch.setattr(ktheory, "smith_normal_form", counting("smith", ktheory.smith_normal_form))
         monkeypatch.setattr(
             matrices,
@@ -175,13 +176,13 @@ class TestAnalyze:
         monkeypatch.setattr(MatrixPair, "__post_init__", counting("check", MatrixPair.__post_init__))
         rep = analyze(E1)
         assert rep.topologically_free.value == "yes"  # the escape verdict was computed
-        assert calls == {"smith": 2, "scc": 1, "check": 0}
+        assert calls == {"diagonal": 2, "smith": 0, "scc": 1, "check": 0}
 
         path = tmp_path / "pair.json"
         path.write_text('{"N": 2, "A": [[2, 1], [1, 2]], "B": [[1, 1], [1, 1]]}')
         assert cli.main(["analyze", str(path)]) == 0
         assert "topologically_free       yes" in capsys.readouterr().out
-        assert calls == {"smith": 4, "scc": 2, "check": 1}
+        assert calls == {"diagonal": 4, "smith": 0, "scc": 2, "check": 1}
 
     def test_deterministic_for_fixed_caps(self):
         rng = random.Random(73)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,15 @@ from katsura.ktheory import (
     KTheoryResult,
     abelian_group,
     cokernel,
+    diagonal_form,
     k_groups,
     realize,
     smith_normal_form,
 )
 from katsura.matrices import MatrixPair
 
-from oracles import mat_mul
+from conftest import cycle_with_chords, random_pair
+from oracles import mat_mul, rank_det_mod, smith_group
 
 
 def cofactor_det(m):
@@ -240,6 +243,96 @@ class TestKGroups:
             )
             assert k_groups(pair) == expected, pair
         assert checked >= 100
+
+
+def sparse_rows(m):
+    return [dict(enumerate(row)) for row in m]
+
+
+def random_square(rng, kind):
+    """A square matrix of size at most 8 of the given kind."""
+    if kind == "pair":
+        pair = random_pair(rng, n_max=8)
+        return i_minus(rng.choice((pair.a, pair.b)))
+    n = rng.randint(1, 8)
+    density = {"dense": 1.0, "sparse": 0.25, "large": 0.8, "zero-lines": 0.7, "all-zero": 0.0}[kind]
+    bound = 10**6 if kind == "large" else 9
+    m = [
+        [rng.choice((-1, 1)) * rng.randint(1, bound) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+    if kind == "zero-lines":
+        r, c = rng.randrange(n), rng.randrange(n)
+        m[r] = [0] * n
+        for row in m:
+            row[c] = 0
+    return m
+
+
+KINDS = ("dense", "sparse", "zero-lines", "all-zero", "large", "pair")
+
+
+class TestDiagonalForm:
+    def test_matches_smith_form(self):
+        rng = random.Random(65)
+        seen = dict.fromkeys(KINDS, 0)
+        for k in range(1200):
+            kind = KINDS[k % len(KINDS)]
+            m = random_square(rng, kind)
+            assert abelian_group(*diagonal_form(sparse_rows(m))) == smith_group(m), (kind, m)
+            n, nonzero = len(m), sum(map(bool, sum(m, [])))
+            seen["dense"] += n >= 3 and nonzero == n * n
+            seen["sparse"] += n >= 4 and 0 < 3 * nonzero <= n * n
+            seen["zero-lines"] += n >= 2 and not all(map(any, m)) and not all(map(any, zip(*m))) and nonzero > 0
+            seen["all-zero"] += nonzero == 0
+            seen["large"] += any(abs(x) >= 10**5 for row in m for x in row)
+            seen["pair"] += kind == "pair"
+        assert all(count >= 100 for count in seen.values()), seen
+
+    def test_zeros_and_pivots(self):
+        assert diagonal_form([{0: 2, 1: 4}, {0: 4, 1: 2}]) == (0, [2, 6])
+        assert diagonal_form([{0: 0}, {}]) == (2, [])
+        assert diagonal_form([{0: 2, 1: 4, 2: 4}]) == (0, [2])
+        assert diagonal_form([{0: 2}, {0: 4}, {0: 4}]) == (2, [2])
+
+    def test_input_rows_untouched(self):
+        rows = [{0: 3, 1: 1}, {0: 1, 1: 3}]
+        diagonal_form(rows)
+        assert rows == [{0: 3, 1: 1}, {0: 1, 1: 3}]
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_sparse_cycle_with_chords(self, n):
+        pair = cycle_with_chords(random.Random(n), n, n // 8)
+        ia, ib = i_minus(pair.a), i_minus(pair.b)
+        ca, cb = smith_group(ia), smith_group(ib)
+        assert cokernel(ia) == ca and cokernel(ib) == cb
+        free = ca.free_rank + cb.free_rank
+        assert k_groups(pair) == KTheoryResult(AbelianGroup(free, ca.torsion), AbelianGroup(free, cb.torsion))
+
+    def test_realized_pair(self):
+        g = AbelianGroup(40, (2, 30))  # Z^40 + Z/6 + Z/10
+        pair = realize(g, g).pair
+        assert pair.n == 84
+        assert cokernel(i_minus(pair.a)) == smith_group(i_minus(pair.a))
+        assert cokernel(i_minus(pair.b)) == smith_group(i_minus(pair.b))
+
+    def test_scaling_1100_vertices(self):
+        # the witness-carrying Smith form ran for over a minute on this family at N = 1100
+        n, p = 1100, 2**61 - 1
+        pair = cycle_with_chords(random.Random(1100), n, n // 8, reach=4)
+        start = time.perf_counter()
+        kt = k_groups(pair)
+        assert time.perf_counter() - start < 20
+        free = 0
+        for group, m in ((kt.k0, pair.a), (kt.k1, pair.b)):
+            rank, det = rank_det_mod(sparse_rows(i_minus(m)), p)
+            free += n - rank
+            assert rank == n  # both matrices are invertible over Q, so the orders are checked
+            order = 1
+            for d in group.torsion:
+                order *= d
+            assert order % p in (det, -det % p)
+        assert kt.k0.free_rank == kt.k1.free_rank == free
 
 
 GROUPS = {
