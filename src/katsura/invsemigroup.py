@@ -3,15 +3,16 @@
 A nonzero element is a triple (I, t, J): a reduced path word I, an integer
 power of the vertex unitary at the common range vertex, and a reduced path
 word J acting by its adjoint.  Reduced means every offset lies in
-``[1, A[i][j]]``.  Multiplication normalizes eagerly via carry propagation
-(`push_unitary`), so element equality is structural equality.
+``[1, A[i][j]]``.  Products are folded factor by factor into this normal
+form (`_Product`), so element equality is structural equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .errors import StructuralError
+from .errors import DomainError, StructuralError
 from .matrices import Edge, MatrixPair
 
 
@@ -119,8 +120,7 @@ def generator_s(pair: MatrixPair, i: int, j: int, n: int) -> Triple:
     folding the excess into a trailing unitary power."""
     if pair.a_at(i, j) == 0:
         raise StructuralError(f"({i},{j}) is not a support arc")
-    edges, carry = push_unitary(pair, i, 0, ((i, j, n),))
-    return triple(pair, PathWord(i, edges), carry, empty_path(j))
+    return _element(pair, _s_factor(pair, i, j, n))
 
 
 def unitary(pair: MatrixPair, vertex: int, exponent: int = 1) -> Triple:
@@ -145,21 +145,152 @@ def star(x: ISgElement) -> ISgElement:
     return Triple(x.right, -x.exponent, x.left)
 
 
+# A factor s_K u^t s_J* as the plain tuple (K base, K edges, t, J base,
+# J edges), with reduced K and J; None is zero.  Products are folded over
+# factors, so an element is built only once a product is done.
+Factor = tuple[int, Sequence[Edge], int, int, Sequence[Edge]] | None
+
+
+def _factor(x: ISgElement) -> Factor:
+    return None if isinstance(x, Zero) else (x.left.base, x.left.edges, x.exponent, x.right.base, x.right.edges)
+
+
+def _element(pair: MatrixPair, f: Factor) -> ISgElement:
+    if f is None:
+        return ZERO
+    k_base, k, t, j_base, j = f
+    return triple(pair, PathWord(k_base, tuple(k)), t, PathWord(j_base, tuple(j)))
+
+
+def _star_factor(f: Factor) -> Factor:
+    return None if f is None else (f[3], f[4], -f[2], f[0], f[1])
+
+
+def _s_factor(pair: MatrixPair, i: int, j: int, n: int) -> Factor:
+    """s(i,j,n) for a support arc (i,j); an out-of-range offset folds its
+    excess into a trailing unitary power."""
+    carry, m = divmod(n - 1, pair.a[i - 1][j - 1])
+    return (i, ((i, j, m + 1),), carry, j, ())
+
+
+def _unitary_factor(vertex: int, t: int) -> Factor:
+    return (vertex, (), t, vertex, ())
+
+
+class _Product:
+    """A product s_L u^t s_J* folded one factor at a time, each factor in
+    amortized time linear in its size.
+
+    L is a list.  J is a stack whose top is its base end, so the path word
+    of the next factor is matched against J by popping.  pending[k] is a
+    unitary power not yet pushed into stack edge k from its base side.
+    Pushes compose additively (pushing u^a, then u^b, gives the word that
+    pushing u^(a+b) gives, since normal forms are unique), so a power that
+    enters J waits on the top edge.  It is pushed only when that edge is
+    compared, popped or emitted, and its carry then waits on the next edge.
+    Exponents at a vertex whose B-row is zero are dropped at the end: every
+    push out of such a vertex carries nothing.
+
+    With a `budget`, a fold past that many letters is a DomainError."""
+
+    __slots__ = ("pair", "budget", "zero", "base", "left", "t", "vertex", "stack", "pending")
+
+    def __init__(self, pair: MatrixPair, f: Factor, budget: int | None = None):
+        self.pair = pair
+        self.budget = budget
+        self.zero = f is None
+        if f is not None:
+            k_base, k, self.t, _, j = f
+            self.base, self.left = k_base, list(k)
+            self.vertex = k[-1][1] if k else k_base
+            self.stack, self.pending = list(reversed(j)), [0] * len(j)
+
+    def _pop(self) -> Edge:
+        """The base edge of J with its pending power pushed into it."""
+        e, p = self.stack.pop(), self.pending.pop()
+        if p:
+            i, j, n = e
+            carry, m = divmod(n - 1 + p * self.pair.b[i - 1][j - 1], self.pair.a[i - 1][j - 1])
+            e = (i, j, m + 1)
+            if self.pending:
+                self.pending[-1] += carry
+            else:
+                self.t -= carry
+        return e
+
+    def fold(self, f: Factor) -> None:
+        """Multiply on the right by f."""
+        if self.zero:
+            return
+        if f is None:
+            self.zero = True
+            return
+        k_base, k, r, _, j = f
+        stack = self.stack
+        if k_base != (stack[-1][0] if stack else self.vertex):
+            self.zero = True
+            return
+        matched = 0
+        while matched < len(k) and stack:
+            if self._pop() != k[matched]:
+                self.zero = True
+                return
+            matched += 1
+        if stack:  # K is a proper prefix of J: u^r waits on the rest of J
+            self.pending[-1] -= r
+        else:  # J is a prefix of K: push u^t across the rest of K
+            t, left = self.t, self.left
+            a, b = self.pair.a, self.pair.b
+            while matched < len(k) and t:  # K is reduced: with t = 0 nothing moves
+                i, v, n = k[matched]
+                t, m = divmod(n - 1 + t * b[i - 1][v - 1], a[i - 1][v - 1])
+                left.append((i, v, m + 1))
+                matched += 1
+            left.extend(k[matched:])
+            self.t = t + r
+            self.vertex = k[-1][1] if k else k_base
+        if j:
+            stack.extend(reversed(j))
+            self.pending.extend([0] * len(j))
+        if self.budget is not None and len(self.left) + len(stack) > self.budget:
+            raise DomainError(f"the element would hold more than {self.budget} letters, the letter budget")
+
+    def factor(self) -> Factor:
+        """The product so far, J emptied into a reduced word."""
+        if self.zero:
+            return None
+        stack = self.stack
+        j_base = stack[-1][0] if stack else self.vertex
+        j = [self._pop() for _ in range(len(stack))]
+        return (self.base, self.left, self.t, j_base, j)
+
+
+def _power(pair: MatrixPair, f: Factor, k: int, budget: int | None = None) -> Factor:
+    """f^k by repeated squaring over the bits of |k|, most significant
+    first; f^0 is its source projection and a negative power is a power of
+    the adjoint.  A power past the budget is refused at the first square
+    that exceeds it; an idempotent's squares never grow."""
+    if f is None:
+        return None
+    if k == 0:
+        _, _, _, j_base, j = f
+        return (j_base, j, 0, j_base, j)
+    base = f if k > 0 else _star_factor(f)
+    out = base
+    for bit in bin(abs(k))[3:]:
+        product = _Product(pair, out, budget)
+        product.fold(out)
+        if bit == "1":
+            product.fold(base)
+        out = product.factor()
+    return out
+
+
 def multiply(pair: MatrixPair, x: ISgElement, y: ISgElement) -> ISgElement:
     """Product in normal form; zero-absorbing and total."""
-    if isinstance(x, Zero) or isinstance(y, Zero):
-        return ZERO
-    if is_prefix(x.right, y.left):
-        rest = y.left.edges[len(x.right.edges):]
-        pushed, carry = push_unitary(pair, x.right.target, x.exponent, rest)
-        left = PathWord(x.left.base, x.left.edges + pushed)
-        return triple(pair, left, carry + y.exponent, y.right)
-    if is_prefix(y.left, x.right):
-        rest = x.right.edges[len(y.left.edges):]
-        pushed, carry = push_unitary(pair, y.left.target, -y.exponent, rest)
-        right = PathWord(y.right.base, y.right.edges + pushed)
-        return triple(pair, x.left, x.exponent - carry, right)
-    return ZERO
+    product = _Product(pair, _factor(x))
+    product.fold(_factor(y))
+    return _element(pair, product.factor())
 
 
 def is_idempotent(x: ISgElement) -> bool:

@@ -3,9 +3,16 @@
 Semigroupoid elements:   h(i), h(i)^t, g(i,j,n)        joined by `.`
 Partial isometries:      s(i,j,n), u(i), u(i)^t, q(i), 0; postfix `*` on an
                          atom or parenthesized group;   joined by `.`
-Paths:                   [ (i,j,n), ... ]   optionally `@v` on an empty `[]`
-Eventually periodic:     PRE ~ PER          with PRE, PER path literals
+Paths:                   [ (i,j,n), ... ]   optionally `@v`, which must be
+                         the first vertex; required on an empty `[]`
+Eventually periodic:     PRE ~ PER          with PRE, PER path literals; an
+                         empty PRE without `@v` sits at the start of PER
 Abelian groups:          0 | Z | Z^r | Z/d  joined by `+`
+
+Whitespace is spaces and tabs, allowed between any two tokens.  Each atom
+is read by one match of a compiled pattern, and a product is folded factor
+by factor as it is read, so parsing takes time linear in the letters read
+and produced.
 
 Everything parses to normalized values, so `format_x(parse_x(text))` is the
 canonical spelling and round-trips.
@@ -14,20 +21,19 @@ canonical spelling and round-trips.
 from __future__ import annotations
 
 import json
-import string
+import re
 import sys
 
 from . import invsemigroup as isg
 from . import semigroupoid as sgp
 from .errors import (
     LETTER_BUDGET,
-    DomainError,
     ExprParseError,
     SemanticError,
     StructuralError,
     format_int,
 )
-from .invsemigroup import ISgElement, PathWord, Zero, ZERO
+from .invsemigroup import Factor, ISgElement, PathWord, Zero
 from .ktheory import AbelianGroup, abelian_group
 from .matrices import MatrixPair
 from .pathspace import EventuallyPeriodicPath, periodic_point
@@ -38,18 +44,42 @@ from .pathspace import EventuallyPeriodicPath, periodic_point
 NESTING_LIMIT = 100
 
 
+_WS = re.compile("[ \t]*")
+_INTEGER = re.compile("[+-]?[0-9]+")
+
+
+class _Atom:
+    """One atom of a grammar, such as s(i,j,n): literal tokens and integer
+    slots (`int`), compiled into one pattern for the whole atom and the
+    whitespace after it.  `power` adds an optional `^t` suffix."""
+
+    def __init__(self, *tokens, power: bool = False):
+        self.head = tokens[0]
+        self.tokens = tokens
+        integer = "[ \t]*([+-]?[0-9]+)"
+        body = "".join(integer if tok is int else "[ \t]*" + re.escape(tok) for tok in tokens[1:])
+        suffix = f"(?:[ \t]*\\^{integer})?" if power else ""
+        self.pattern = re.compile(re.escape(self.head) + body + suffix + "[ \t]*")
+        self.slots = tokens.count(int)
+        self.power = power
+
+
 class _Scanner:
+    """A cursor over one text.  Whitespace is spaces and tabs, and may
+    stand between any two tokens."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._suffix: tuple[int, str] | None = None  # the `^t` of the last atom
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+        if self.text.startswith((" ", "\t"), self.pos):
+            self.pos = _WS.match(self.text, self.pos).end()
 
     def peek(self) -> str:
         self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos : self.pos + 1]
 
     def take(self, expected: str) -> None:
         self.skip_ws()
@@ -66,19 +96,58 @@ class _Scanner:
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in string.digits:
-            self.pos += 1
-        if self.pos == digits:
-            raise ExprParseError(start, "an integer", self.text)
+        m = _INTEGER.match(self.text, self.pos)
+        if m is None:
+            raise ExprParseError(self.pos, "an integer", self.text)
+        self.pos = m.end()
+        return self._int(m.start(), m.group())
+
+    def _int(self, start: int, digits: str) -> int:
         try:
-            return int(self.text[start : self.pos])
+            return int(digits)
         except ValueError:  # past the interpreter's digit limit
             limit = sys.get_int_max_str_digits()
             raise ExprParseError(start, f"an integer of at most {limit} digits", self.text) from None
+
+    def atom(self, atom: _Atom, required: bool = False) -> list[int] | None:
+        """The integers of `atom` if it starts here, by one match of its
+        pattern; None if its head is absent and it is not required.  An
+        atom that starts but breaks off is an ExprParseError where its
+        tokens, taken one by one, first fail."""
+        self.skip_ws()
+        text, pos = self.text, self.pos
+        if not text.startswith(atom.head, pos):
+            if required:
+                raise ExprParseError(pos, repr(atom.head), text)
+            return None
+        m = atom.pattern.match(text, pos)
+        if m is None:
+            for tok in atom.tokens:
+                if tok is int:
+                    self.integer()
+                else:
+                    self.take(tok)
+            raise AssertionError(f"the pattern of {atom.head!r} refuses {text[pos:self.pos]!r}")
+        groups = m.groups()
+        try:
+            values = [int(g) for g in groups[: atom.slots]]
+        except ValueError:  # name the first integer past the digit limit
+            values = [self._int(m.start(k), m.group(k)) for k in range(1, atom.slots + 1)]
+        suffix = groups[atom.slots] if atom.power else None
+        self._suffix = None if suffix is None else (m.start(atom.slots + 1), suffix)
+        self.pos = m.end()
+        return values
+
+    def power(self, default: int) -> int:
+        """The `^t` suffix of the atom just read, or `default` without one.
+        Read after the atom's own checks, so that those come first."""
+        found, self._suffix = self._suffix, None
+        if found is not None:
+            return self._int(*found)
+        if not self.try_take("^"):
+            return default
+        self.integer()
+        raise AssertionError("the power suffix pattern refuses an integer")
 
     def done(self) -> None:
         self.skip_ws()
@@ -98,31 +167,29 @@ def _check_arc(pair: MatrixPair, i: int, j: int, pos: int, text: str) -> None:
         raise SemanticError(f"({i},{j}) is not a support arc of A (at offset {pos} in {text!r})")
 
 
+_SEMIGROUPOID_HEAD = re.compile("[ \t]*[hg][ \t]*\\(")
+
+
 def looks_like_semigroupoid(text: str) -> bool:
-    stripped = text.replace(" ", "")
-    return stripped.startswith(("h(", "g("))
+    return _SEMIGROUPOID_HEAD.match(text) is not None
 
 
 # -- semigroupoid expressions -------------------------------------------------
+
+_H = _Atom("h(", int, ")", power=True)
+_G = _Atom("g(", int, ",", int, ",", int, ")")
+
 
 def parse_semigroupoid(text: str, pair: MatrixPair) -> sgp.SgpElement:
     sc = _Scanner(text)
     atoms: list[sgp.RawAtom] = []
     while True:
         pos = sc.pos
-        if sc.try_take("h("):
-            v = sc.integer()
-            sc.take(")")
-            _check_vertex(pair, v, pos, text)
-            t = sc.integer() if sc.try_take("^") else 1
-            atoms.append(sgp.HAtom(v, t))
-        elif sc.try_take("g("):
-            i = sc.integer()
-            sc.take(",")
-            j = sc.integer()
-            sc.take(",")
-            n = sc.integer()
-            sc.take(")")
+        if (h := sc.atom(_H)) is not None:
+            _check_vertex(pair, h[0], pos, text)
+            atoms.append(sgp.HAtom(h[0], sc.power(1)))
+        elif (g := sc.atom(_G)) is not None:
+            i, j, n = g
             _check_arc(pair, i, j, pos, text)
             atoms.append((i, j, n))
         else:
@@ -143,84 +210,59 @@ def format_semigroupoid(e: sgp.SgpElement) -> str:
 
 # -- inverse semigroup expressions --------------------------------------------
 
+_S = _Atom("s(", int, ",", int, ",", int, ")")
+_U = _Atom("u(", int, ")", power=True)
+_Q = _Atom("q(", int, ")")
+
+
 def parse_isg(text: str, pair: MatrixPair) -> ISgElement:
+    """The product a text spells, in time linear in its letters: factors are
+    folded into one product as they are read, and path words are built once,
+    at the end."""
     sc = _Scanner(text)
     result = _parse_isg_product(sc, pair, text, 0)
     sc.done()
-    return result
+    return isg._element(pair, result)
 
 
-def _multiply(pair: MatrixPair, x: ISgElement, y: ISgElement) -> ISgElement:
-    """The product, refused once its two path words hold more letters than
-    the budget allows."""
-    z = isg.multiply(pair, x, y)
-    if not isinstance(z, Zero) and len(z.left.edges) + len(z.right.edges) > LETTER_BUDGET:
-        raise DomainError(f"the element would hold more than {LETTER_BUDGET} letters, the letter budget")
-    return z
-
-
-def _parse_isg_product(sc: _Scanner, pair: MatrixPair, text: str, depth: int) -> ISgElement:
-    result = _parse_isg_factor(sc, pair, text, depth)
+def _parse_isg_product(sc: _Scanner, pair: MatrixPair, text: str, depth: int) -> Factor:
+    product = isg._Product(pair, _parse_isg_factor(sc, pair, text, depth), LETTER_BUDGET)
     while sc.try_take("."):
-        result = _multiply(pair, result, _parse_isg_factor(sc, pair, text, depth))
-    return result
+        product.fold(_parse_isg_factor(sc, pair, text, depth))
+    return product.factor()
 
 
-def _parse_isg_factor(sc: _Scanner, pair: MatrixPair, text: str, depth: int) -> ISgElement:
+def _parse_isg_factor(sc: _Scanner, pair: MatrixPair, text: str, depth: int) -> Factor:
     pos = sc.pos
-    if sc.try_take("("):
+    if (s := sc.atom(_S)) is not None:
+        i, j, n = s
+        _check_arc(pair, i, j, pos, text)
+        factor = isg._s_factor(pair, i, j, n)
+    elif (u := sc.atom(_U)) is not None:
+        _check_vertex(pair, u[0], pos, text)
+        factor = isg._unitary_factor(u[0], sc.power(1))
+    elif (q := sc.atom(_Q)) is not None:
+        _check_vertex(pair, q[0], pos, text)
+        factor = isg._unitary_factor(q[0], 0)
+    elif sc.try_take("("):
         if depth == NESTING_LIMIT:
             raise ExprParseError(pos, f"at most {NESTING_LIMIT} nested parentheses", text)
-        elem = _parse_isg_product(sc, pair, text, depth + 1)
+        factor = _parse_isg_product(sc, pair, text, depth + 1)
         sc.take(")")
-    elif sc.try_take("s("):
-        i = sc.integer()
-        sc.take(",")
-        j = sc.integer()
-        sc.take(",")
-        n = sc.integer()
-        sc.take(")")
-        _check_arc(pair, i, j, pos, text)
-        elem = isg.generator_s(pair, i, j, n)
-    elif sc.try_take("u("):
-        v = sc.integer()
-        sc.take(")")
-        _check_vertex(pair, v, pos, text)
-        elem = isg.unitary(pair, v)
-    elif sc.try_take("q("):
-        v = sc.integer()
-        sc.take(")")
-        _check_vertex(pair, v, pos, text)
-        elem = isg.projection_q(pair, v)
     elif sc.try_take("0"):
-        elem = ZERO
+        factor = None
     else:
         raise ExprParseError(sc.pos, "s(...), u(...), q(...), 0 or (", text)
     while True:
-        if sc.try_take("^"):
-            elem = _isg_power(pair, elem, sc.integer())
-        elif sc.try_take("*"):
-            elem = isg.star(elem)
+        c = sc.peek()
+        if c == "*":
+            sc.pos += 1
+            factor = isg._star_factor(factor)
+        elif c == "^":
+            sc.pos += 1
+            factor = isg._power(pair, factor, sc.integer(), LETTER_BUDGET)
         else:
-            return elem
-
-
-def _isg_power(pair: MatrixPair, elem: ISgElement, k: int) -> ISgElement:
-    """elem^k by repeated squaring over the bits of |k|, most significant
-    first; elem^0 is its source projection and a negative power is a power
-    of the adjoint.  A power past the letter budget is refused at the first
-    square that exceeds it; an idempotent's squares never grow."""
-    if isinstance(elem, Zero):
-        return ZERO
-    if k == 0:
-        return isg.source_projection(pair, elem)
-    base = elem if k > 0 else isg.star(elem)
-    out = base
-    for bit in bin(abs(k))[3:]:
-        out = _multiply(pair, out, out)
-        if bit == "1":
-            out = _multiply(pair, out, base)
-    return out
+            return factor
 
 
 def format_isg(e: ISgElement) -> str:
@@ -238,19 +280,16 @@ def format_isg(e: ISgElement) -> str:
 
 # -- path literals -------------------------------------------------------------
 
+_EDGE = _Atom("(", int, ",", int, ",", int, ")")
+
+
 def _parse_edge_list(sc: _Scanner, pair: MatrixPair, text: str) -> tuple:
     sc.take("[")
     edges = []
     if not sc.try_take("]"):
         while True:
             pos = sc.pos
-            sc.take("(")
-            i = sc.integer()
-            sc.take(",")
-            j = sc.integer()
-            sc.take(",")
-            n = sc.integer()
-            sc.take(")")
+            i, j, n = sc.atom(_EDGE, required=True)
             _check_arc(pair, i, j, pos, text)
             if not 1 <= n <= pair.a_at(i, j):
                 raise SemanticError(
@@ -264,7 +303,10 @@ def _parse_edge_list(sc: _Scanner, pair: MatrixPair, text: str) -> tuple:
     return tuple(edges)
 
 
-def _finish_path(sc: _Scanner, pair: MatrixPair, text: str, edges: tuple) -> PathWord:
+def _finish_path(sc: _Scanner, pair: MatrixPair, text: str, edges: tuple) -> PathWord | None:
+    """The path word of a literal's edges and its `@v` suffix, which may
+    restate the first edge's source and must name the vertex of an empty
+    literal; None for an empty literal with no suffix."""
     if edges:
         base = edges[0][0]
         if sc.try_take("@"):
@@ -276,36 +318,29 @@ def _finish_path(sc: _Scanner, pair: MatrixPair, text: str, edges: tuple) -> Pat
         v = sc.integer()
         _check_vertex(pair, v, sc.pos, text)
         return PathWord(v)
-    raise ExprParseError(sc.pos, "@vertex after an empty path literal", text)
+    return None
 
 
 def parse_finite_path(text: str, pair: MatrixPair) -> PathWord:
     sc = _Scanner(text)
-    edges = _parse_edge_list(sc, pair, text)
-    p = _finish_path(sc, pair, text, edges)
+    p = _finish_path(sc, pair, text, _parse_edge_list(sc, pair, text))
+    if p is None:
+        raise ExprParseError(sc.pos, "@vertex after an empty path literal", text)
     sc.done()
     return p
 
 
 def parse_periodic_path(text: str, pair: MatrixPair) -> EventuallyPeriodicPath:
+    """PRE ~ PER; an empty PRE with no `@v` sits at the base of PER."""
     sc = _Scanner(text)
-    pre_edges = _parse_edge_list(sc, pair, text)
-    pre_base_override = None
-    if sc.peek() == "@":
-        sc.take("@")
-        pre_base_override = sc.integer()
+    pre = _finish_path(sc, pair, text, _parse_edge_list(sc, pair, text))
     sc.take("~")
     per_edges = _parse_edge_list(sc, pair, text)
     sc.done()
     if not per_edges:
         raise SemanticError("the periodic part must be nonempty")
-    if pre_edges:
-        pre = PathWord(pre_edges[0][0], pre_edges)
-    else:
-        base = pre_base_override if pre_base_override is not None else per_edges[0][0]
-        pre = PathWord(base)
     per = PathWord(per_edges[0][0], per_edges)
-    return periodic_point(pair, pre, per)
+    return periodic_point(pair, PathWord(per.base) if pre is None else pre, per)
 
 
 def is_periodic_literal(text: str) -> bool:

@@ -5,9 +5,11 @@ second and usually slower route, a question the library decides another
 way: cycle enumeration for the graph conditions, the classical sufficient
 conditions for simplicity, a plain matrix product for Smith witnesses, the
 Smith diagonal and a rank and determinant modulo a prime for the
-witness-free diagonal form, the integrality trace term by term, and a
+witness-free diagonal form, the integrality trace term by term, a
 capped search of the trace's state graph for cylinders of fixed points,
-the oracle of `fixed_point_escape`.
+the oracle of `fixed_point_escape`, and the product of two partial
+isometries taken whole, the oracle of the factor-by-factor fold behind
+`multiply` and `parse_isg`.
 """
 
 from __future__ import annotations
@@ -17,11 +19,30 @@ from fractions import Fraction
 
 from katsura.decisions import Reason, Verdict
 from katsura.errors import DomainError, StructuralError
-from katsura.invsemigroup import PathWord
+from katsura.invsemigroup import ZERO, ISgElement, PathWord, Zero, is_prefix, push_unitary, triple
 from katsura.ktheory import AbelianGroup, smith_normal_form
 from katsura.matrices import Edge, MatrixPair, graph_facts
 
 Matrix = list[list[int]]
+
+
+def pairwise_multiply(pair: MatrixPair, x: ISgElement, y: ISgElement) -> ISgElement:
+    """x.y in normal form from the two whole elements: the adjoint word of x
+    and the path word of y must be prefix-comparable, and the unitary power
+    between them is pushed across the longer one's remainder."""
+    if isinstance(x, Zero) or isinstance(y, Zero):
+        return ZERO
+    if is_prefix(x.right, y.left):
+        rest = y.left.edges[len(x.right.edges):]
+        pushed, carry = push_unitary(pair, x.right.target, x.exponent, rest)
+        left = PathWord(x.left.base, x.left.edges + pushed)
+        return triple(pair, left, carry + y.exponent, y.right)
+    if is_prefix(y.left, x.right):
+        rest = x.right.edges[len(y.left.edges):]
+        pushed, carry = push_unitary(pair, y.left.target, -y.exponent, rest)
+        right = PathWord(y.right.base, y.right.edges + pushed)
+        return triple(pair, x.left, x.exponent - carry, right)
+    return ZERO
 
 
 def mat_mul(x: Matrix, y: Matrix) -> Matrix:

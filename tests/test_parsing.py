@@ -3,15 +3,17 @@ import time
 
 import pytest
 
-from katsura.errors import ExprParseError, SemanticError, StructuralError
+from katsura.errors import LETTER_BUDGET, DomainError, ExprParseError, KatsuraError, SemanticError, StructuralError
 from katsura.invsemigroup import (
+    ISgElement,
     PathWord,
     Triple,
     ZERO,
+    Zero,
     multiply,
     projection_q,
-    source_projection,
     star,
+    triple,
     unitary,
 )
 from katsura.ktheory import AbelianGroup
@@ -32,7 +34,8 @@ from katsura.parsing import (
 )
 from katsura.semigroupoid import GWord, HPower
 
-from conftest import random_isg, random_pair, random_sgp
+from conftest import random_backward_walk, random_isg, random_pair, random_sgp, random_walk
+from oracles import pairwise_multiply
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
 
@@ -143,11 +146,7 @@ class TestIsgGrammar:
             e = random_isg(rng, pair, max_len=3, t_max=3)
             text = format_isg(e)
             for k in range(-12, 13):
-                base = e if k > 0 else star(e)
-                expected = source_projection(pair, e) if k == 0 else base
-                for _ in range(abs(k) - 1):
-                    expected = multiply(pair, expected, base)
-                assert parse_isg(f"({text})^{k}", pair) == expected, (text, k)
+                assert parse_isg(f"({text})^{k}", pair) == oracle_power(pair, e, k), (text, k)
 
     def test_huge_unitary_power(self):
         pair = MatrixPair.from_rows([[2]], [[1]])
@@ -156,10 +155,159 @@ class TestIsgGrammar:
         assert time.perf_counter() - start < 1.0
 
 
+def oracle_power(pair: MatrixPair, x: ISgElement, k: int) -> ISgElement:
+    """x^k as |k| - 1 pairwise products; x^0 is the source projection."""
+    if isinstance(x, Zero):
+        return ZERO
+    if k == 0:
+        return triple(pair, x.right, 0, x.right)
+    base = x if k > 0 else star(x)
+    out = base
+    for _ in range(abs(k) - 1):
+        out = pairwise_multiply(pair, out, base)
+    return out
+
+
+def oracle_fold(pair: MatrixPair, values) -> ISgElement:
+    out = values[0]
+    for v in values[1:]:
+        out = pairwise_multiply(pair, out, v)
+    return out
+
+
+def random_factor(rng: random.Random, pair: MatrixPair, cur: ISgElement, depth: int) -> tuple[str, ISgElement]:
+    """The text and value of a random factor, most often one whose path word
+    is comparable with the adjoint word of `cur`, so that products stay
+    nonzero for a while."""
+    if isinstance(cur, Zero) or rng.random() < 0.02:
+        cur = random_isg(rng, pair)
+    j = cur.right
+    r = rng.random()
+    if r < 0.01:
+        return "0", ZERO
+    if r < 0.25:  # s(i,j,n), the offset often out of range
+        into = random_backward_walk(rng, pair, j.base, 1)
+        starred = into and rng.random() < 0.3
+        if starred:  # an edge into the base of J
+            i, w, n = into[0]
+        else:  # the first edge of J
+            i, w, n = j.edges[0] if j.edges else random_walk(rng, pair, j.base, 1)[0]
+        a = pair.a_at(i, w)
+        if rng.random() < 0.2:
+            n = rng.randint(1, a)
+        n += a * rng.randint(-2, 2)
+        carry, m = divmod(n - 1, a)
+        value = triple(pair, PathWord(i, ((i, w, m + 1),)), carry, PathWord(w))
+        return (f"s({i},{w},{n})*", star(value)) if starred else (f"s({i},{w},{n})", value)
+    if r < 0.35:
+        k = rng.randint(-9, 9)
+        return f"u({j.base})^{k}", unitary(pair, j.base, k)
+    if r < 0.4:
+        return f"q({j.base})", projection_q(pair, j.base)
+    if r < 0.55 and depth < 3:
+        text, value = random_chain(rng, pair, cur, depth + 1)
+        k = rng.choice([None, "*", -3, -1, 0, 1, 2, 3])
+        if k is None or isinstance(value, Zero):
+            return f"({text})", value
+        # x.x* keeps the path word of x under * and under powers
+        text, value = f"{text}.({text})*", pairwise_multiply(pair, value, star(value))
+        if k == "*":
+            return f"({text})*", star(value)
+        return f"({text})^{k}", oracle_power(pair, value, k)
+    # a whole element whose path word is a prefix or an extension of J
+    cut = rng.randint(0, len(j.edges))
+    left_edges = j.edges[:cut]
+    if cut == len(j.edges):
+        left_edges += random_walk(rng, pair, j.target, rng.randint(0, 3))
+    left = PathWord(j.base, left_edges)
+    if rng.random() < 0.25:  # s_K u^t s_K* has nonzero powers of every order
+        value, k = triple(pair, left, rng.randint(-3, 3), left), rng.randint(-3, 3)
+        return f"({format_isg(value)})^{k}", oracle_power(pair, value, k)
+    right_edges = random_backward_walk(rng, pair, left.target, rng.randint(0, 4))
+    right = PathWord(right_edges[0][0] if right_edges else left.target, right_edges)
+    value = triple(pair, left, rng.randint(-7, 7), right)
+    if rng.random() < 0.3:
+        return f"({format_isg(star(value))})*", value
+    return f"({format_isg(value)})", value
+
+
+def random_chain(rng: random.Random, pair: MatrixPair, cur: ISgElement, depth: int = 0) -> tuple[str, ISgElement]:
+    texts, values = [], []
+    for _ in range(rng.randint(1, 6 if depth else 16)):
+        text, value = random_factor(rng, pair, cur, depth)
+        texts.append(text)
+        values.append(value)
+        cur = oracle_fold(pair, [cur, value])
+    return rng.choice([".", " . ", ".\t"]).join(texts), oracle_fold(pair, values)
+
+
+def with_zero_b_row(rng: random.Random, pair: MatrixPair) -> MatrixPair:
+    v = rng.randrange(pair.n)
+    return MatrixPair.from_rows(pair.a, [[0] * pair.n if i == v else row for i, row in enumerate(pair.b)])
+
+
+class TestProductFold:
+    """The factor-by-factor fold behind `parse_isg` and `multiply` against
+    the product of whole elements in tests/oracles.py."""
+
+    def test_parse_isg_equals_oracle_fold(self):
+        rng = random.Random(121)
+        zeros = nonzeros = 0
+        for trial in range(400):
+            pair = random_pair(rng, n_max=3, a_max=3, b_max=3)
+            if trial % 4 == 0:
+                pair = with_zero_b_row(rng, pair)
+            text, expected = random_chain(rng, pair, random_isg(rng, pair))
+            assert parse_isg(text, pair) == expected, (pair, text)
+            zeros += isinstance(expected, Zero)
+            nonzeros += not isinstance(expected, Zero)
+        assert zeros > 100 and nonzeros > 200, (zeros, nonzeros)
+
+    def test_multiply_equals_pairwise_product(self):
+        rng = random.Random(122)
+        for trial in range(600):
+            pair = random_pair(rng, n_max=3, a_max=3, b_max=3)
+            if trial % 4 == 0:
+                pair = with_zero_b_row(rng, pair)
+            x = random_isg(rng, pair, max_len=5, t_max=9)
+            _, y = random_factor(rng, pair, x, 0)
+            for a, b in ((x, y), (y, x), (x, star(x)), (star(x), x), (x, ZERO), (ZERO, y)):
+                assert multiply(pair, a, b) == pairwise_multiply(pair, a, b), (pair, a, b)
+
+
+D2 = MatrixPair.from_rows([[2]], [[1]])
+D1 = MatrixPair.from_rows([[1]], [[1]])
+LONG_CHAINS = [(D2, "s(1,1,1)"), (D2, "s(1,1,2).u(1)^-1"), (D1, "s(1,1,1)*.u(1)")]
+
+
+class TestLinearChains:
+    """A product of n one-letter factors parses in time linear in n."""
+
+    @pytest.mark.parametrize("pair, unit", LONG_CHAINS)
+    def test_equals_oracle_fold(self, pair, unit):
+        factors = [parse_isg(f, pair) for f in unit.split(".")] * 500
+        assert parse_isg(".".join([unit] * 500), pair) == oracle_fold(pair, factors)
+
+    @pytest.mark.parametrize("pair, unit", LONG_CHAINS)
+    def test_letter_budget_chain_under_5s(self, pair, unit):
+        start = time.perf_counter()
+        elem = parse_isg(".".join([unit] * LETTER_BUDGET), pair)
+        assert time.perf_counter() - start < 5.0
+        assert len(elem.left) + len(elem.right) == LETTER_BUDGET
+        with pytest.raises(DomainError, match="letter budget"):
+            parse_isg(".".join([unit] * (LETTER_BUDGET + 1)), pair)
+
+
 class TestElementDispatch:
     def test_sgp_by_prefix(self):
         assert isinstance(parse_element("h(1)", E1), HPower)
         assert isinstance(parse_element("g(1,1,1)", E1), GWord)
+
+    @pytest.mark.parametrize("space", [" ", "\t", " \t ", "\t\t"])
+    def test_leading_whitespace_is_spaces_and_tabs(self, space):
+        assert parse_element(space + "h(1)", E1) == HPower(1, 1)
+        assert parse_element(space + "g(1,1,1)", E1) == GWord(((1, 1, 1),))
+        assert parse_element(space + "q(1)", E1) == projection_q(E1, 1)
 
     def test_isg_otherwise(self):
         assert isinstance(parse_element("q(1)", E1), Triple)
@@ -200,6 +348,20 @@ class TestPathLiterals:
         x = parse_periodic_path("[(1,2,1)] ~ [(2,2,1), (2,1,1), (1,2,1)]", E1)
         assert parse_periodic_path(format_periodic_path(x), E1) == x
 
+    # a periodic literal reads the @v suffix of its preperiod by the rule of a finite literal
+    @pytest.mark.parametrize("tail", ["", " ~ [(1,1,1)]"])
+    def test_base_suffix_contradicting_first_edge(self, tail):
+        parse = parse_periodic_path if tail else parse_finite_path
+        with pytest.raises(SemanticError, match=r"declared base 2 contradicts first edge \(1, 1, 1\)"):
+            parse("[(1,1,1)]@2" + tail, E1)
+        assert parse("[(1,1,1)]@1" + tail, E1) == parse("[(1,1,1)]" + tail, E1)
+
+    @pytest.mark.parametrize("tail", ["", " ~ [(1,1,1)]"])
+    def test_empty_literal_vertex_out_of_range(self, tail):
+        parse = parse_periodic_path if tail else parse_finite_path
+        with pytest.raises(SemanticError, match=r"vertex 7 out of range 1\.\.2 \(at offset 4 in"):
+            parse("[]@7" + tail, E1)
+
 
 class TestGroupGrammar:
     def test_examples(self):
@@ -238,3 +400,394 @@ class TestGroupGrammar:
             0, (1000000000000000000000000000057,)
         )
         assert time.perf_counter() - start < 1.0
+
+
+# For every grammar, a few texts (the last of each grammar with an error),
+# and the outcome of each truncation text[:k]: the formatted value, or the
+# exception's type with, for a parse error, its position and expectation,
+# and otherwise its message.  Recorded from the character-by-character
+# scanner this grammar replaced; the pattern scanner must agree exactly.
+PARSERS = {
+    "isg": lambda t: format_isg(parse_isg(t, E1)),
+    "semigroupoid": lambda t: format_semigroupoid(parse_semigroupoid(t, E1)),
+    "finite path": lambda t: format_finite_path(parse_finite_path(t, E1)),
+    "periodic path": lambda t: format_periodic_path(parse_periodic_path(t, E1)),
+    "group": lambda t: format_group(parse_group(t)),
+}
+
+
+def outcome(grammar: str, text: str) -> tuple:
+    try:
+        return ("ok", None, PARSERS[grammar](text))
+    except ExprParseError as exc:
+        return ("ExprParseError", exc.position, exc.expected)
+    except KatsuraError as exc:
+        return (type(exc).__name__, None, str(exc))
+
+
+PARSE_CONTRACT = [
+    ('isg', 's(1,2,1).u(2)^-3.s(1, 2,2)*', [
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "','"),
+        ('ExprParseError', 4, 'an integer'),
+        ('ExprParseError', 5, "','"),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 7, "')'"),
+        ('ok', None, 's(1,2,1)'),
+        ('ExprParseError', 9, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 9, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 11, 'an integer'),
+        ('ExprParseError', 12, "')'"),
+        ('ok', None, 's(1,2,1).u(2)'),
+        ('ExprParseError', 14, 'an integer'),
+        ('ExprParseError', 14, 'an integer'),
+        ('ok', None, 's(1,2,1).u(2)^-3'),
+        ('ExprParseError', 17, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 17, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 19, 'an integer'),
+        ('ExprParseError', 20, "','"),
+        ('ExprParseError', 21, 'an integer'),
+        ('ExprParseError', 22, 'an integer'),
+        ('ExprParseError', 23, "','"),
+        ('ExprParseError', 24, 'an integer'),
+        ('ExprParseError', 25, "')'"),
+        ('ok', None, '0'),
+        ('ok', None, 's(1,2,1).u(2)^-4.s(1,2,1)*'),
+    ]),
+    ('isg', '(s(1,1,3)*.q(1))^2 .\t0', [
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 1, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 1, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 3, 'an integer'),
+        ('ExprParseError', 4, "','"),
+        ('ExprParseError', 5, 'an integer'),
+        ('ExprParseError', 6, "','"),
+        ('ExprParseError', 7, 'an integer'),
+        ('ExprParseError', 8, "')'"),
+        ('ExprParseError', 9, "')'"),
+        ('ExprParseError', 10, "')'"),
+        ('ExprParseError', 11, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 11, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 13, 'an integer'),
+        ('ExprParseError', 14, "')'"),
+        ('ExprParseError', 15, "')'"),
+        ('ok', None, 'u(1)^-1.s(1,1,1)*'),
+        ('ExprParseError', 17, 'an integer'),
+        ('ok', None, 'u(1)^-1.s(1,1,2)*.s(1,1,1)*'),
+        ('ok', None, 'u(1)^-1.s(1,1,2)*.s(1,1,1)*'),
+        ('ExprParseError', 20, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 21, 's(...), u(...), q(...), 0 or ('),
+        ('ok', None, '0'),
+    ]),
+    ('isg', ' u(1)^+0.s(2,1,-1)*^-1*', [
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 1, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 1, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 3, 'an integer'),
+        ('ExprParseError', 4, "')'"),
+        ('ok', None, 'u(1)'),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 6, 'an integer'),
+        ('ok', None, 'q(1)'),
+        ('ExprParseError', 9, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 9, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 11, 'an integer'),
+        ('ExprParseError', 12, "','"),
+        ('ExprParseError', 13, 'an integer'),
+        ('ExprParseError', 14, "','"),
+        ('ExprParseError', 15, 'an integer'),
+        ('ExprParseError', 15, 'an integer'),
+        ('ExprParseError', 17, "')'"),
+        ('ok', None, '0'),
+        ('ok', None, 'u(1)^2.s(2,1,1)*'),
+        ('ExprParseError', 20, 'an integer'),
+        ('ExprParseError', 20, 'an integer'),
+        ('ok', None, '0'),
+        ('ok', None, 'u(1)^2.s(2,1,1)*'),
+    ]),
+    ('semigroupoid', 'g(1,2,1).h(2)^3.g(2, 1,-4)', [
+        ('ExprParseError', 0, 'h(...) or g(...)'),
+        ('ExprParseError', 0, 'h(...) or g(...)'),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "','"),
+        ('ExprParseError', 4, 'an integer'),
+        ('ExprParseError', 5, "','"),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 7, "')'"),
+        ('ok', None, 'g(1,2,1)'),
+        ('ExprParseError', 9, 'h(...) or g(...)'),
+        ('ExprParseError', 9, 'h(...) or g(...)'),
+        ('ExprParseError', 11, 'an integer'),
+        ('ExprParseError', 12, "')'"),
+        ('ok', None, 'g(1,2,2)'),
+        ('ExprParseError', 14, 'an integer'),
+        ('ok', None, 'g(1,2,4)'),
+        ('ExprParseError', 16, 'h(...) or g(...)'),
+        ('ExprParseError', 16, 'h(...) or g(...)'),
+        ('ExprParseError', 18, 'an integer'),
+        ('ExprParseError', 19, "','"),
+        ('ExprParseError', 20, 'an integer'),
+        ('ExprParseError', 21, 'an integer'),
+        ('ExprParseError', 22, "','"),
+        ('ExprParseError', 23, 'an integer'),
+        ('ExprParseError', 23, 'an integer'),
+        ('ExprParseError', 25, "')'"),
+        ('ok', None, 'g(1,2,1).g(2,1,-1)'),
+    ]),
+    ('semigroupoid', ' h(1) .\tg(1,1,5)', [
+        ('ExprParseError', 0, 'h(...) or g(...)'),
+        ('ExprParseError', 1, 'h(...) or g(...)'),
+        ('ExprParseError', 1, 'h(...) or g(...)'),
+        ('ExprParseError', 3, 'an integer'),
+        ('ExprParseError', 4, "')'"),
+        ('ok', None, 'h(1)'),
+        ('ok', None, 'h(1)'),
+        ('ExprParseError', 7, 'h(...) or g(...)'),
+        ('ExprParseError', 8, 'h(...) or g(...)'),
+        ('ExprParseError', 8, 'h(...) or g(...)'),
+        ('ExprParseError', 10, 'an integer'),
+        ('ExprParseError', 11, "','"),
+        ('ExprParseError', 12, 'an integer'),
+        ('ExprParseError', 13, "','"),
+        ('ExprParseError', 14, 'an integer'),
+        ('ExprParseError', 15, "')'"),
+        ('ok', None, 'g(1,1,6)'),
+    ]),
+    ('finite path', '[(1,1,1), (1,2,1),(2,2,2)]', [
+        ('ExprParseError', 0, "'['"),
+        ('ExprParseError', 1, "'('"),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "','"),
+        ('ExprParseError', 4, 'an integer'),
+        ('ExprParseError', 5, "','"),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 7, "')'"),
+        ('ExprParseError', 8, "']'"),
+        ('ExprParseError', 9, "'('"),
+        ('ExprParseError', 10, "'('"),
+        ('ExprParseError', 11, 'an integer'),
+        ('ExprParseError', 12, "','"),
+        ('ExprParseError', 13, 'an integer'),
+        ('ExprParseError', 14, "','"),
+        ('ExprParseError', 15, 'an integer'),
+        ('ExprParseError', 16, "')'"),
+        ('ExprParseError', 17, "']'"),
+        ('ExprParseError', 18, "'('"),
+        ('ExprParseError', 19, 'an integer'),
+        ('ExprParseError', 20, "','"),
+        ('ExprParseError', 21, 'an integer'),
+        ('ExprParseError', 22, "','"),
+        ('ExprParseError', 23, 'an integer'),
+        ('ExprParseError', 24, "')'"),
+        ('ExprParseError', 25, "']'"),
+        ('ok', None, '[(1,1,1), (1,2,1), (2,2,2)]'),
+    ]),
+    ('finite path', ' [ (2,1,1) ] @ 2', [
+        ('ExprParseError', 0, "'['"),
+        ('ExprParseError', 1, "'['"),
+        ('ExprParseError', 2, "'('"),
+        ('ExprParseError', 3, "'('"),
+        ('ExprParseError', 4, 'an integer'),
+        ('ExprParseError', 5, "','"),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 7, "','"),
+        ('ExprParseError', 8, 'an integer'),
+        ('ExprParseError', 9, "')'"),
+        ('ExprParseError', 10, "']'"),
+        ('ExprParseError', 11, "']'"),
+        ('ok', None, '[(2,1,1)]'),
+        ('ok', None, '[(2,1,1)]'),
+        ('ExprParseError', 14, 'an integer'),
+        ('ExprParseError', 15, 'an integer'),
+        ('ok', None, '[(2,1,1)]'),
+    ]),
+    ('finite path', '[]@2', [
+        ('ExprParseError', 0, "'['"),
+        ('ExprParseError', 1, "'('"),
+        ('ExprParseError', 2, '@vertex after an empty path literal'),
+        ('ExprParseError', 3, 'an integer'),
+        ('ok', None, '[]@2'),
+    ]),
+    ('periodic path', '[(1,2,1)] ~ [(2,2,1), (2,1,1),(1,2,1)]', [
+        ('ExprParseError', 0, "'['"),
+        ('ExprParseError', 1, "'('"),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "','"),
+        ('ExprParseError', 4, 'an integer'),
+        ('ExprParseError', 5, "','"),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 7, "')'"),
+        ('ExprParseError', 8, "']'"),
+        ('ExprParseError', 9, "'~'"),
+        ('ExprParseError', 10, "'~'"),
+        ('ExprParseError', 11, "'['"),
+        ('ExprParseError', 12, "'['"),
+        ('ExprParseError', 13, "'('"),
+        ('ExprParseError', 14, 'an integer'),
+        ('ExprParseError', 15, "','"),
+        ('ExprParseError', 16, 'an integer'),
+        ('ExprParseError', 17, "','"),
+        ('ExprParseError', 18, 'an integer'),
+        ('ExprParseError', 19, "')'"),
+        ('ExprParseError', 20, "']'"),
+        ('ExprParseError', 21, "'('"),
+        ('ExprParseError', 22, "'('"),
+        ('ExprParseError', 23, 'an integer'),
+        ('ExprParseError', 24, "','"),
+        ('ExprParseError', 25, 'an integer'),
+        ('ExprParseError', 26, "','"),
+        ('ExprParseError', 27, 'an integer'),
+        ('ExprParseError', 28, "')'"),
+        ('ExprParseError', 29, "']'"),
+        ('ExprParseError', 30, "'('"),
+        ('ExprParseError', 31, 'an integer'),
+        ('ExprParseError', 32, "','"),
+        ('ExprParseError', 33, 'an integer'),
+        ('ExprParseError', 34, "','"),
+        ('ExprParseError', 35, 'an integer'),
+        ('ExprParseError', 36, "')'"),
+        ('ExprParseError', 37, "']'"),
+        ('ok', None, '[] ~ [(1,2,1), (2,2,1), (2,1,1)]'),
+    ]),
+    ('periodic path', '[]@1 ~\t[(1,1,2)]', [
+        ('ExprParseError', 0, "'['"),
+        ('ExprParseError', 1, "'('"),
+        ('ExprParseError', 2, "'~'"),
+        ('ExprParseError', 3, 'an integer'),
+        ('ExprParseError', 4, "'~'"),
+        ('ExprParseError', 5, "'~'"),
+        ('ExprParseError', 6, "'['"),
+        ('ExprParseError', 7, "'['"),
+        ('ExprParseError', 8, "'('"),
+        ('ExprParseError', 9, 'an integer'),
+        ('ExprParseError', 10, "','"),
+        ('ExprParseError', 11, 'an integer'),
+        ('ExprParseError', 12, "','"),
+        ('ExprParseError', 13, 'an integer'),
+        ('ExprParseError', 14, "')'"),
+        ('ExprParseError', 15, "']'"),
+        ('ok', None, '[] ~ [(1,1,2)]'),
+    ]),
+    ('group', 'Z^2 + Z/2 +\tZ/6', [
+        ('ExprParseError', 0, 'Z, Z^r, Z/d or 0'),
+        ('ok', None, 'Z'),
+        ('ExprParseError', 2, 'an integer'),
+        ('ok', None, 'Z^2'),
+        ('ok', None, 'Z^2'),
+        ('ExprParseError', 5, 'Z, Z^r, Z/d or 0'),
+        ('ExprParseError', 6, 'Z, Z^r, Z/d or 0'),
+        ('ok', None, 'Z^3'),
+        ('ExprParseError', 8, 'an integer'),
+        ('ok', None, 'Z^2 + Z/2'),
+        ('ok', None, 'Z^2 + Z/2'),
+        ('ExprParseError', 11, 'Z, Z^r, Z/d or 0'),
+        ('ExprParseError', 12, 'Z, Z^r, Z/d or 0'),
+        ('ok', None, 'Z^3 + Z/2'),
+        ('ExprParseError', 14, 'an integer'),
+        ('ok', None, 'Z^2 + Z/2 + Z/6'),
+    ]),
+    ('group', ' 0', [
+        ('ExprParseError', 0, 'Z, Z^r, Z/d or 0'),
+        ('ExprParseError', 1, 'Z, Z^r, Z/d or 0'),
+        ('ok', None, '0'),
+    ]),
+    ('isg', 's(1,1,1). u(3)', [
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "','"),
+        ('ExprParseError', 4, 'an integer'),
+        ('ExprParseError', 5, "','"),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 7, "')'"),
+        ('ok', None, 's(1,1,1)'),
+        ('ExprParseError', 9, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 10, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 10, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 12, 'an integer'),
+        ('ExprParseError', 13, "')'"),
+        ('SemanticError', None, "vertex 3 out of range 1..2 (at offset 9 in 's(1,1,1). u(3)')"),
+    ]),
+    ('semigroupoid', 'h(1). g(2,3,1)', [
+        ('ExprParseError', 0, 'h(...) or g(...)'),
+        ('ExprParseError', 0, 'h(...) or g(...)'),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "')'"),
+        ('ok', None, 'h(1)'),
+        ('ExprParseError', 5, 'h(...) or g(...)'),
+        ('ExprParseError', 6, 'h(...) or g(...)'),
+        ('ExprParseError', 6, 'h(...) or g(...)'),
+        ('ExprParseError', 8, 'an integer'),
+        ('ExprParseError', 9, "','"),
+        ('ExprParseError', 10, 'an integer'),
+        ('ExprParseError', 11, "','"),
+        ('ExprParseError', 12, 'an integer'),
+        ('ExprParseError', 13, "')'"),
+        ('SemanticError', None, "vertex 3 out of range 1..2 (at offset 5 in 'h(1). g(2,3,1)')"),
+    ]),
+    ('finite path', '[(1,1,1)]@2', [
+        ('ExprParseError', 0, "'['"),
+        ('ExprParseError', 1, "'('"),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "','"),
+        ('ExprParseError', 4, 'an integer'),
+        ('ExprParseError', 5, "','"),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 7, "')'"),
+        ('ExprParseError', 8, "']'"),
+        ('ok', None, '[(1,1,1)]'),
+        ('ExprParseError', 10, 'an integer'),
+        ('SemanticError', None, 'declared base 2 contradicts first edge (1, 1, 1)'),
+    ]),
+    ('periodic path', '[(1,1,1)]@1 ~ [(1,2,1),(2,1,1)]', [
+        ('ExprParseError', 0, "'['"),
+        ('ExprParseError', 1, "'('"),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "','"),
+        ('ExprParseError', 4, 'an integer'),
+        ('ExprParseError', 5, "','"),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 7, "')'"),
+        ('ExprParseError', 8, "']'"),
+        ('ExprParseError', 9, "'~'"),
+        ('ExprParseError', 10, 'an integer'),
+        ('ExprParseError', 11, "'~'"),
+        ('ExprParseError', 12, "'~'"),
+        ('ExprParseError', 13, "'['"),
+        ('ExprParseError', 14, "'['"),
+        ('ExprParseError', 15, "'('"),
+        ('ExprParseError', 16, 'an integer'),
+        ('ExprParseError', 17, "','"),
+        ('ExprParseError', 18, 'an integer'),
+        ('ExprParseError', 19, "','"),
+        ('ExprParseError', 20, 'an integer'),
+        ('ExprParseError', 21, "')'"),
+        ('ExprParseError', 22, "']'"),
+        ('ExprParseError', 23, "'('"),
+        ('ExprParseError', 24, 'an integer'),
+        ('ExprParseError', 25, "','"),
+        ('ExprParseError', 26, 'an integer'),
+        ('ExprParseError', 27, "','"),
+        ('ExprParseError', 28, 'an integer'),
+        ('ExprParseError', 29, "')'"),
+        ('ExprParseError', 30, "']'"),
+        ('ok', None, '[(1,1,1)] ~ [(1,2,1), (2,1,1)]'),
+    ]),
+    ('group', 'Z/0 + 0', [
+        ('ExprParseError', 0, 'Z, Z^r, Z/d or 0'),
+        ('ok', None, 'Z'),
+        ('ExprParseError', 2, 'an integer'),
+        ('SemanticError', None, 'cyclic order 0 must be positive'),
+        ('SemanticError', None, 'cyclic order 0 must be positive'),
+        ('SemanticError', None, 'cyclic order 0 must be positive'),
+        ('SemanticError', None, 'cyclic order 0 must be positive'),
+        ('SemanticError', None, 'cyclic order 0 must be positive'),
+    ]),
+]
+
+
+@pytest.mark.parametrize("grammar, text, outcomes", PARSE_CONTRACT, ids=[f"{g}:{t!r}" for g, t, _ in PARSE_CONTRACT])
+def test_error_contract_of_every_truncation(grammar, text, outcomes):
+    assert [outcome(grammar, text[:k]) for k in range(len(text) + 1)] == outcomes
