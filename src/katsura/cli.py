@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from . import invsemigroup as isg
 from . import parsing, semigroupoid as sgp
@@ -251,7 +252,10 @@ _answer_depth = _depth(lambda depth: depth)
 _scan_cap = _depth(lambda cap: cap * (cap + 1) // 2)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared by every
+    `main` call in the process; parsing reads it and never changes it."""
     top = _Parser(prog="katsura", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

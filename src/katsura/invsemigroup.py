@@ -115,24 +115,6 @@ def triple(pair: MatrixPair, left: PathWord, exponent: int, right: PathWord) -> 
     return Triple(left, exponent, right)
 
 
-def generator_s(pair: MatrixPair, i: int, j: int, n: int) -> Triple:
-    """The partial isometry for an edge; out-of-range offsets normalize by
-    folding the excess into a trailing unitary power."""
-    if pair.a_at(i, j) == 0:
-        raise StructuralError(f"({i},{j}) is not a support arc")
-    return _element(pair, _s_factor(pair, i, j, n))
-
-
-def unitary(pair: MatrixPair, vertex: int, exponent: int = 1) -> Triple:
-    if not 1 <= vertex <= pair.n:
-        raise StructuralError(f"vertex {vertex} out of range")
-    return triple(pair, empty_path(vertex), exponent, empty_path(vertex))
-
-
-def projection_q(pair: MatrixPair, vertex: int) -> Triple:
-    return unitary(pair, vertex, 0)
-
-
 def path_isometry(pair: MatrixPair, p: PathWord) -> Triple:
     """s_p as an element: the word with trivial unitary part and empty adjoint."""
     check_path_word(pair, p)

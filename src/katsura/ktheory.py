@@ -3,9 +3,9 @@ realization of prescribed K-groups by a certified pair construction.
 
 A cokernel Z^m / MZ^n is fixed up to isomorphism by the rank of M and the
 entries of any diagonal matrix D = UMV with U and V unimodular: it is
-Z^(m - rank) plus the sum of the Z/d.  So `k_groups` and `cokernel` read
-it off `diagonal_form`, a sparse elimination that keeps neither U nor V
-and does not make the diagonal a divisor chain; `abelian_group` then
+Z^(m - rank) plus the sum of the Z/d.  So `k_groups` reads it off
+`diagonal_form`, a sparse elimination that keeps neither U nor V and
+does not make the diagonal a divisor chain; `abelian_group` then
 normalizes the cyclic orders.  `smith_normal_form` keeps both witnesses
 and the divisor chain, for callers that need the transforms themselves;
 the tests check `diagonal_form` against it.
@@ -327,14 +327,6 @@ def diagonal_form(rows: Sequence[Mapping[int, int]]) -> tuple[int, list[int]]:
         for i in touched & live.keys():
             heappush(heap, key(i))
     return len(rows) - len(pivots), pivots
-
-
-def cokernel(m: Matrix) -> AbelianGroup:
-    if not m or not m[0]:
-        raise StructuralError("matrix must be nonempty")
-    if any(len(row) != len(m[0]) for row in m):
-        raise StructuralError("ragged matrix")
-    return abelian_group(*diagonal_form([dict(enumerate(row)) for row in m]))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
+from operator import not_
 from typing import Sequence
 
 from .errors import StructuralError
@@ -36,6 +37,26 @@ class MatrixPair:
         for name, m in (("A", self.a), ("B", self.b)):
             if len(m) != self.n or any(len(row) != self.n for row in m):
                 raise StructuralError(f"{name} is not a square matrix of size {self.n}")
+        a, b = self.a, self.b
+        # one scan in C for the common case, a valid pair of plain ints; any
+        # other input takes the loop below, which names the first problem
+        if (
+            set(map(type, chain(*a, *b))) <= {int}
+            and min(map(min, a)) >= 0
+            and all(map(any, a))  # no zero row
+            and not any(any(compress(b_row, map(not_, a_row))) for a_row, b_row in zip(a, b))
+        ):
+            columns = range(1, len(a) + 1)
+            sections = tuple(tuple(compress(columns, row)) for row in a)
+        else:
+            sections = self._checked_sections()
+        object.__setattr__(self, "sections", sections)
+
+    def _checked_sections(self) -> tuple[tuple[int, ...], ...]:
+        """The row sections, checked entry by entry.  Raises StructuralError
+        for the first entry that is not an integer, else for the first
+        negative A-entry, else listing every zero row and every B-entry off
+        the support."""
         for x in chain(*self.a, *self.b):
             # bool is an int subclass; reject it so JSON `true` cannot sneak in as 1
             if isinstance(x, bool) or not isinstance(x, int):
@@ -57,7 +78,7 @@ class MatrixPair:
             sections.append(tuple(section))
         if zero_rows or off_support:
             raise StructuralError("invalid pair: " + "; ".join(zero_rows + off_support))
-        object.__setattr__(self, "sections", tuple(sections))
+        return tuple(sections)
 
     @staticmethod
     def from_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> "MatrixPair":

@@ -9,7 +9,10 @@ witness-free diagonal form, the integrality trace term by term, a
 capped search of the trace's state graph for cylinders of fixed points,
 the oracle of `fixed_point_escape`, and the product of two partial
 isometries taken whole, the oracle of the factor-by-factor fold behind
-`multiply` and `parse_isg`.
+`multiply` and `parse_isg`.  The generators s(i,j,n), u(v)^t and q(v)
+are built here from the normal form directly, as references for the
+parser, and `cokernel` reads a dense matrix's cokernel off the
+witness-free diagonal form.
 """
 
 from __future__ import annotations
@@ -19,11 +22,26 @@ from fractions import Fraction
 
 from katsura.decisions import Reason, Verdict
 from katsura.errors import DomainError, StructuralError
-from katsura.invsemigroup import ZERO, ISgElement, PathWord, Zero, is_prefix, push_unitary, triple
-from katsura.ktheory import AbelianGroup, smith_normal_form
+from katsura.invsemigroup import ZERO, ISgElement, PathWord, Triple, Zero, is_prefix, push_unitary, triple
+from katsura.ktheory import AbelianGroup, abelian_group, diagonal_form, smith_normal_form
 from katsura.matrices import Edge, MatrixPair, graph_facts
 
 Matrix = list[list[int]]
+
+
+def generator_s(pair: MatrixPair, i: int, j: int, n: int) -> Triple:
+    """The partial isometry s(i,j,n) of a support arc; an out-of-range
+    offset folds its excess into a trailing unitary power."""
+    carry, m = divmod(n - 1, pair.a_at(i, j))
+    return triple(pair, PathWord(i, ((i, j, m + 1),)), carry, PathWord(j))
+
+
+def unitary(pair: MatrixPair, vertex: int, exponent: int = 1) -> Triple:
+    return triple(pair, PathWord(vertex), exponent, PathWord(vertex))
+
+
+def projection_q(pair: MatrixPair, vertex: int) -> Triple:
+    return unitary(pair, vertex, 0)
 
 
 def pairwise_multiply(pair: MatrixPair, x: ISgElement, y: ISgElement) -> ISgElement:
@@ -51,6 +69,12 @@ def mat_mul(x: Matrix, y: Matrix) -> Matrix:
         [sum(x[i][k] * y[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)
     ]
+
+
+def cokernel(m: Matrix) -> AbelianGroup:
+    """Z^rows / M Z^columns of a dense matrix, from its witness-free
+    diagonal form."""
+    return abelian_group(*diagonal_form([dict(enumerate(row)) for row in m]))
 
 
 def smith_group(m: Matrix) -> AbelianGroup:

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from katsura.cli import main
+from katsura.cli import build_parser, main
 from katsura.errors import LETTER_BUDGET
 from katsura.parsing import NESTING_LIMIT
 
@@ -204,6 +204,37 @@ class TestActionCommands:
             capsys, "germ-eq", "q(1)", "q(1)", e1_file, "--at", "[] ~ [(1,1,1)]"
         )
         assert code == 0 and out.strip() == "equal"
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and reuses it, so each call
+    must print and exit exactly as it would on a freshly built parser,
+    whatever calls came before it."""
+
+    def test_sequence_matches_fresh_parsers(self, capsys, e1_file, d2_file, tmp_path):
+        b0 = tmp_path / "b0.json"
+        b0.write_text('{"N":1,"A":[[2]],"B":[[0]]}')
+        point = "[] ~ [(1,1,1)]"
+        sequence = [
+            ["analyze", e1_file, "--no-such-flag"],
+            ["analyze", e1_file, "--json"],
+            ["act", "u(1)", point, d2_file, "--depth", "5"],
+            ["act", "u(1)", point, d2_file],
+            ["analyze", str(b0), "--strict"],
+            ["analyze", str(b0)],
+        ]
+        alone = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            alone.append(run(capsys, *argv))
+        parser = build_parser()
+        for argv in sequence + sequence[::-1]:
+            assert run(capsys, *argv) == alone[sequence.index(argv)]
+        assert build_parser() is parser
+        assert [code for code, _, _ in alone] == [2, 0, 0, 0, 3, 0]
+        assert json.loads(alone[0][2])["kind"] == "parse"
+        # the explicit --depth does not stick: the default 16 comes back
+        assert alone[2][1].count("(") == 5 and alone[3][1].count("(") == 16
 
 
 class TestNegativeDepth:

@@ -8,21 +8,19 @@ from katsura.invsemigroup import (
     Triple,
     ZERO,
     empty_path,
-    generator_s,
     is_idempotent,
     multiply,
-    projection_q,
     push_unitary,
     range_projection,
     source_projection,
     star,
     triple,
-    unitary,
 )
 from katsura.matrices import MatrixPair
 from katsura.semigroupoid import HPower, lcm as sgp_lcm, intersects as sgp_intersects
 
 from conftest import random_isg, random_pair, random_path_word
+from oracles import generator_s, projection_q, unitary
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
 

@@ -10,7 +10,6 @@ from katsura.ktheory import (
     AbelianGroup,
     KTheoryResult,
     abelian_group,
-    cokernel,
     diagonal_form,
     k_groups,
     realize,
@@ -19,7 +18,7 @@ from katsura.ktheory import (
 from katsura.matrices import MatrixPair
 
 from conftest import cycle_with_chords, random_pair
-from oracles import mat_mul, rank_det_mod, smith_group
+from oracles import cokernel, mat_mul, rank_det_mod, smith_group
 
 
 def cofactor_det(m):

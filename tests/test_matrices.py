@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -43,17 +44,29 @@ def old_checks(a, b):
     return "invalid pair: " + "; ".join(problems) if problems else None
 
 
+class Int(int):
+    """An int subclass: a valid entry, but not one of the plain ints that
+    construction's one-scan check accepts."""
+
+
+# an integer with as many digits as str() will print
+HUGE = 10 ** (sys.get_int_max_str_digits() - 1)
+
+
 def random_rows(rng):
     """Rows of a candidate pair, often invalid: zero A-rows, B off the
-    support, negative A-entries, bool entries and ragged rows."""
+    support, negative A-entries, entries that are not integers (bool, float,
+    None, str), int-subclass and huge entries, and ragged rows."""
     n = rng.randint(1, 4)
 
     def entry(negative):
         r = rng.random()
         if r < 0.02:
-            return rng.choice([True, False])
-        if r < 0.02 + negative:
-            return -rng.randint(1, 3)
+            return rng.choice([True, False, 1.0, None, "1"])
+        if r < 0.04:
+            return rng.choice([Int(0), Int(1), Int(2), HUGE])
+        if r < 0.04 + negative:
+            return -rng.choice([1, 2, 3, HUGE])
         return rng.choice([0, 0, 1, 2])
 
     def matrix(negative):
@@ -119,6 +132,7 @@ class TestValidate:
     def test_construction_agrees_with_old_checks(self):
         rng = random.Random(23)
         seen = set()
+        not_integers = set()
         for _ in range(1000):
             a, b = random_rows(rng)
             expected = old_checks(a, b)
@@ -128,6 +142,11 @@ class TestValidate:
                     tuple(j for j, x in enumerate(row, 1) if x) for row in a
                 )
                 seen.add("valid")
+                entries = [x for row in a + b for x in row]
+                if any(type(x) is Int for x in entries):
+                    seen.add("valid with an int subclass")
+                if any(abs(x) == HUGE for x in entries):
+                    seen.add("valid with a huge entry")
                 continue
             with pytest.raises(StructuralError) as exc:
                 MatrixPair.from_rows(a, b)
@@ -135,8 +154,12 @@ class TestValidate:
             for kind in ("empty", "square", "integer", "negative", "is zero", "nonzero but"):
                 if kind in expected:
                     seen.add(kind)
+            if expected.endswith("is not an integer"):
+                not_integers.add(expected.split()[2])
+        assert not_integers == {"True", "False", "1.0", "None", "'1'"}
         assert seen == {
-            "valid", "empty", "square", "integer", "negative", "is zero", "nonzero but"
+            "valid", "valid with an int subclass", "valid with a huge entry",
+            "empty", "square", "integer", "negative", "is zero", "nonzero but",
         }
 
 

@@ -11,10 +11,8 @@ from katsura.invsemigroup import (
     ZERO,
     Zero,
     multiply,
-    projection_q,
     star,
     triple,
-    unitary,
 )
 from katsura.ktheory import AbelianGroup
 from katsura.matrices import MatrixPair
@@ -35,7 +33,7 @@ from katsura.parsing import (
 from katsura.semigroupoid import GWord, HPower
 
 from conftest import random_backward_walk, random_isg, random_pair, random_sgp, random_walk
-from oracles import pairwise_multiply
+from oracles import pairwise_multiply, projection_q, unitary
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
 

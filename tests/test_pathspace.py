@@ -7,15 +7,12 @@ from katsura.errors import DomainError, StructuralError
 from katsura.invsemigroup import (
     PathWord,
     ZERO,
-    generator_s,
     is_prefix,
     multiply,
     path_isometry,
-    projection_q,
     range_projection,
     star,
     triple,
-    unitary,
 )
 from katsura.matrices import MatrixPair
 from katsura.pathspace import (
@@ -38,7 +35,7 @@ from katsura.pathspace import (
 )
 
 from conftest import random_backward_walk, random_isg, random_pair, random_path_word, random_walk
-from oracles import has_fixed_cylinder, integrality_trace
+from oracles import generator_s, has_fixed_cylinder, integrality_trace, projection_q, unitary
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
 D2 = MatrixPair.from_rows([[2]], [[1]])
