@@ -215,7 +215,7 @@ def _cmd_germ_eq(args) -> int:
     s = parsing.parse_isg(args.left, pair)
     t = parsing.parse_isg(args.right, pair)
     x = parsing.parse_periodic_path(args.at, pair)
-    print(germ_equal(pair, s, t, x, args.depth_cap))
+    print(germ_equal(pair, s, t, x))
     return EXIT_OK
 
 
@@ -226,30 +226,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_fail("parse", f"{self.prog}: {message}", EXIT_PARSE))
 
 
-def _depth(letters):
-    """The type of a depth flag: a nonnegative integer whose answer or scan,
-    `letters(value)` letters long, fits the letter budget."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-        if letters(value) > LETTER_BUDGET:
-            raise argparse.ArgumentTypeError(
-                f"{value} would take more than {LETTER_BUDGET} letters, the letter budget"
-            )
-        return value
-
-    return parse
-
-
-# act and fixedpoint answer with `depth` letters; germ-eq builds a cylinder of
-# every length up to its cap, cap * (cap + 1) / 2 letters in all
-_answer_depth = _depth(lambda depth: depth)
-_scan_cap = _depth(lambda cap: cap * (cap + 1) // 2)
+def _depth(text: str) -> int:
+    """The type of a `--depth` flag: a nonnegative integer, the length of an
+    answer, within the letter budget."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value > LETTER_BUDGET:
+        raise argparse.ArgumentTypeError(
+            f"{value} would take more than {LETTER_BUDGET} letters, the letter budget"
+        )
+    return value
 
 
 @cache
@@ -301,13 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("path")
     p.add_argument("file")
-    p.add_argument("--depth", type=_answer_depth, default=16)
+    p.add_argument("--depth", type=_depth, default=16)
     p.set_defaults(func=_cmd_act)
 
     p = sub.add_parser("fixedpoint", help="prefix of the unique fixed point of an element")
     p.add_argument("expr")
     p.add_argument("file")
-    p.add_argument("--depth", type=_answer_depth, required=True)
+    p.add_argument("--depth", type=_depth, required=True)
     p.set_defaults(func=_cmd_fixedpoint)
 
     p = sub.add_parser("germ-eq", help="compare two germs at a point")
@@ -315,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("file")
     p.add_argument("--at", required=True, metavar="PATH")
-    p.add_argument("--depth-cap", type=_scan_cap, default=32)
     p.set_defaults(func=_cmd_germ_eq)
 
     return top

@@ -246,53 +246,6 @@ def is_fixed_by_unitary(
     return period_ratio.denominator == 1
 
 
-def _cylinder_projection(pair: MatrixPair, prefix: PathWord) -> Triple:
-    return triple(pair, prefix, 0, prefix)
-
-
-def germ_equal(
-    pair: MatrixPair,
-    s: ISgElement,
-    t: ISgElement,
-    x: EventuallyPeriodicPath,
-    depth_cap: int = 32,
-) -> str:
-    """Compare the germs of s and t at x: "equal", "not-equal" or "unknown".
-
-    Germ equality holds iff s and t agree after cutting down by some
-    cylinder projection around x, and those projections are cofinal among
-    idempotents whose domain contains x, so scanning depths 0..cap is
-    exhaustive up to the cap.  Distinct image prefixes, mismatched growth,
-    or a repeating residual state certify inequality.
-    """
-    if isinstance(s, Zero) or isinstance(t, Zero):
-        raise DomainError("germs are carried by nonzero elements")
-    for elem in (s, t):
-        if not is_prefix(elem.right, x.unfold(len(elem.right))):
-            raise DomainError("point lies outside the element's domain")
-    p, q = len(x.preperiod), len(x.period)
-    seen: set[tuple[int, int, int]] = set()
-    for depth in range(depth_cap + 1):
-        e = _cylinder_projection(pair, x.unfold(depth))
-        xs = multiply(pair, s, e)
-        xt = multiply(pair, t, e)
-        assert isinstance(xs, Triple) and isinstance(xt, Triple)
-        if xs == xt:
-            return "equal"
-        if len(xs.left) != len(xt.left):
-            if len(s.left) - len(s.right) != len(t.left) - len(t.right):
-                return "not-equal"  # lengths diverge forever
-            continue  # still inside the adjoint words; lengths will align
-        if xs.left != xt.left:
-            return "not-equal"  # images differ as points
-        if depth >= max(p, len(s.right), len(t.right)):
-            state = ((depth - p) % q, xs.exponent, xt.exponent)
-            if state in seen:
-                return "not-equal"  # residuals cycle without meeting
-            seen.add(state)
-    return "unknown"
-
-
 @dataclass(frozen=True)
 class Germ:
     """An element germinating at an eventually periodic point of its domain."""
@@ -309,19 +262,55 @@ def germ(pair: MatrixPair, s: ISgElement, x: EventuallyPeriodicPath) -> Germ:
     return Germ(s, x)
 
 
-def germ_range(pair: MatrixPair, gm: Germ, cap: int = 64) -> EventuallyPeriodicPath:
-    image = image_point(pair, gm.element, gm.point, cap)
+def germ_equal(
+    pair: MatrixPair, s: ISgElement, t: ISgElement, x: EventuallyPeriodicPath
+) -> str:
+    """Compare the germs of s and t at x: "equal" or "not-equal".
+
+    The germs agree iff s . e_d = t . e_d for some cylinder projection
+    e_d = s_w s_w*, w the first d letters of x: those projections are
+    cofinal among the idempotents whose domain holds x.  One comparison at
+    depth D = max(|preperiod|, |s.right|, |t.right|) + |period| decides:
+
+    - Equality at depth d gives equality at every deeper d', since
+      e_d . e_d' = e_d'.
+    - From d0 = max(|s.right|, |t.right|) on, the two products are
+      s_l u^r s_w* and s_l' u^r' s_w* with the same w, and they agree iff
+      l = l' and r = r'.  Each further letter appends one letter to l and
+      to l', so left words that differ stay different.
+    - With l = l' and r != r', the next letter (i, j, n) of x becomes
+      (i, j, m) and the residual r becomes k, where
+      n - 1 + r B_ij = m - 1 + k A_ij and 1 <= m <= A_ij.  When B_ij != 0,
+      (m, k) recovers r, so the products still differ.  Across a B = 0 arc
+      both residuals become 0 and the letter stays, so the products agree.
+      (`triple` drops the residual one letter early, at a vertex whose
+      B-row is zero.)
+    - So the products agree by depth d0, or by one letter past the first
+      B = 0 arc of x at index d0 or later, or never.  Letters from index
+      max(d0, |preperiod|) on repeat the period, so that arc, if it
+      exists, sits at an index below D.
+    """
+    for elem in (s, t):
+        germ(pair, elem, x)  # DomainError unless elem carries a germ at x
+    depth = max(len(x.preperiod), len(s.right), len(t.right)) + len(x.period)
+    cylinder = x.unfold(depth)
+    e = triple(pair, cylinder, 0, cylinder)
+    return "equal" if multiply(pair, s, e) == multiply(pair, t, e) else "not-equal"
+
+
+def germ_range(pair: MatrixPair, gm: Germ) -> EventuallyPeriodicPath:
+    image = image_point(pair, gm.element, gm.point)
     assert isinstance(image, EventuallyPeriodicPath)
     return image
 
 
-def germ_inverse(pair: MatrixPair, gm: Germ, cap: int = 64) -> Germ:
-    return germ(pair, star(gm.element), germ_range(pair, gm, cap))
+def germ_inverse(pair: MatrixPair, gm: Germ) -> Germ:
+    return germ(pair, star(gm.element), germ_range(pair, gm))
 
 
-def germ_compose(pair: MatrixPair, g1: Germ, g2: Germ, cap: int = 64) -> Germ:
+def germ_compose(pair: MatrixPair, g1: Germ, g2: Germ) -> Germ:
     """[s, x] . [t, y] = [st, y], defined when x = t . y."""
-    image = germ_range(pair, g2, cap)
+    image = germ_range(pair, g2)
     if image != g1.point:
         raise DomainError("germs do not compose: range of the second != source of the first")
     product = multiply(pair, g1.element, g2.element)

@@ -9,9 +9,10 @@ witness-free diagonal form, the integrality trace term by term, a
 capped search of the trace's state graph for cylinders of fixed points,
 the oracle of `fixed_point_escape`, and the product of two partial
 isometries taken whole, the oracle of the factor-by-factor fold behind
-`multiply` and `parse_isg`.  The generators s(i,j,n), u(v)^t and q(v)
-are built here from the normal form directly, as references for the
-parser, and `cokernel` reads a dense matrix's cokernel off the
+`multiply` and `parse_isg`.  A scan of cylinder depths up to a cap is the
+oracle of the one-depth `germ_equal`.  The generators s(i,j,n), u(v)^t
+and q(v) are built here from the normal form directly, as references for
+the parser, and `cokernel` reads a dense matrix's cokernel off the
 witness-free diagonal form.
 """
 
@@ -22,9 +23,20 @@ from fractions import Fraction
 
 from katsura.decisions import Reason, Verdict
 from katsura.errors import DomainError, StructuralError
-from katsura.invsemigroup import ZERO, ISgElement, PathWord, Triple, Zero, is_prefix, push_unitary, triple
+from katsura.invsemigroup import (
+    ZERO,
+    ISgElement,
+    PathWord,
+    Triple,
+    Zero,
+    is_prefix,
+    multiply,
+    push_unitary,
+    triple,
+)
 from katsura.ktheory import AbelianGroup, abelian_group, diagonal_form, smith_normal_form
 from katsura.matrices import Edge, MatrixPair, graph_facts
+from katsura.pathspace import EventuallyPeriodicPath
 
 Matrix = list[list[int]]
 
@@ -359,3 +371,47 @@ def has_fixed_cylinder(
             return FixedCylinderResult("yes", witness_path(state))
     return FixedCylinderResult("no")
 
+
+
+def capped_germ_equal(
+    pair: MatrixPair,
+    s: ISgElement,
+    t: ISgElement,
+    x: EventuallyPeriodicPath,
+    depth_cap: int = 32,
+) -> str:
+    """Compare the germs of s and t at x: "equal", "not-equal" or "unknown".
+
+    Germ equality holds iff s and t agree after cutting down by some
+    cylinder projection around x, and those projections are cofinal among
+    idempotents whose domain contains x, so scanning depths 0..cap is
+    exhaustive up to the cap.  Distinct image prefixes, mismatched growth,
+    or a repeating residual state certify inequality.
+    """
+    if isinstance(s, Zero) or isinstance(t, Zero):
+        raise DomainError("germs are carried by nonzero elements")
+    for elem in (s, t):
+        if not is_prefix(elem.right, x.unfold(len(elem.right))):
+            raise DomainError("point lies outside the element's domain")
+    p, q = len(x.preperiod), len(x.period)
+    seen: set[tuple[int, int, int]] = set()
+    for depth in range(depth_cap + 1):
+        prefix = x.unfold(depth)
+        e = triple(pair, prefix, 0, prefix)
+        xs = multiply(pair, s, e)
+        xt = multiply(pair, t, e)
+        assert isinstance(xs, Triple) and isinstance(xt, Triple)
+        if xs == xt:
+            return "equal"
+        if len(xs.left) != len(xt.left):
+            if len(s.left) - len(s.right) != len(t.left) - len(t.right):
+                return "not-equal"  # lengths diverge forever
+            continue  # still inside the adjoint words; lengths will align
+        if xs.left != xt.left:
+            return "not-equal"  # images differ as points
+        if depth >= max(p, len(s.right), len(t.right)):
+            state = ((depth - p) % q, xs.exponent, xt.exponent)
+            if state in seen:
+                return "not-equal"  # residuals cycle without meeting
+            seen.add(state)
+    return "unknown"

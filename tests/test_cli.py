@@ -205,6 +205,15 @@ class TestActionCommands:
         )
         assert code == 0 and out.strip() == "equal"
 
+    def test_germ_eq_depth_cap_retired(self, capsys, e1_file):
+        # germ-eq is exact and has no cap to set
+        code, out, err = run(
+            capsys, "germ-eq", "q(1)", "q(1)", e1_file, "--at", "[] ~ [(1,1,1)]", "--depth-cap", "8"
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["kind"] == "parse"
+
 
 class TestParserReuse:
     """`main` builds its parser once per process and reuses it, so each call
@@ -249,11 +258,6 @@ class TestNegativeDepth:
 
     def test_fixedpoint_depth(self, capsys, d2_file):
         self.assert_rejected(capsys, "fixedpoint", "s(1,1,1).u(1)", d2_file, "--depth", "-3")
-
-    def test_germ_eq_depth_cap(self, capsys, e1_file):
-        self.assert_rejected(
-            capsys, "germ-eq", "q(1)", "q(1)", e1_file, "--at", "[] ~ [(1,1,1)]", "--depth-cap", "-1"
-        )
 
     def test_non_integer_depth(self, capsys, d2_file):
         self.assert_rejected(capsys, "fixedpoint", "s(1,1,1).u(1)", d2_file, "--depth", "abc")
@@ -427,16 +431,6 @@ class TestLetterBudget:
         code, out, _ = run(capsys, "act", "u(1)", point, d2_file, "--depth", str(LETTER_BUDGET))
         assert code == 0 and out.count("(1,1,") == LETTER_BUDGET
 
-    def test_scan_cap(self, capsys, d2_file):
-        # germ-eq builds cylinders of every length up to the cap
-        cap = 0
-        while (cap + 1) * (cap + 2) // 2 <= LETTER_BUDGET:
-            cap += 1
-        argv = ["germ-eq", "u(1)", "q(1)", d2_file, "--at", "[] ~ [(1,1,1)]", "--depth-cap"]
-        code, out, _ = run(capsys, *argv, str(cap))
-        assert code == 0 and out.strip() == "not-equal"
-        self.assert_refused(capsys, "parse", 2, *argv, str(cap + 1))
-
     def test_realized_pair_past_the_budget(self, capsys):
         self.assert_refused(capsys, "domain", 1, "realize", "--k0", "Z^100000000", "--k1", "Z^100000000")
 
@@ -577,13 +571,7 @@ element_call = st.one_of(
     st.builds(lambda x, y: ["lcm", x, y, "FILE"], sgp_expression | junk, sgp_expression | junk),
     st.builds(lambda x, at, d: ["act", x, at, "FILE", "--depth", d], isg_expression, point, flag),
     st.builds(lambda x, d: ["fixedpoint", x, "FILE", "--depth", d], isg_expression, flag),
-    st.builds(
-        lambda x, y, at, d: ["germ-eq", x, y, "FILE", "--at", at, "--depth-cap", d],
-        isg_expression,
-        isg_expression,
-        point,
-        flag,
-    ),
+    st.builds(lambda x, y, at: ["germ-eq", x, y, "FILE", "--at", at], isg_expression, isg_expression, point),
 )
 
 

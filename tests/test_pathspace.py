@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,14 @@ from katsura.pathspace import (
 )
 
 from conftest import random_backward_walk, random_isg, random_pair, random_path_word, random_walk
-from oracles import generator_s, has_fixed_cylinder, integrality_trace, projection_q, unitary
+from oracles import (
+    capped_germ_equal,
+    generator_s,
+    has_fixed_cylinder,
+    integrality_trace,
+    projection_q,
+    unitary,
+)
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
 D2 = MatrixPair.from_rows([[2]], [[1]])
@@ -345,17 +353,72 @@ class TestGermEquality:
             PathWord(1, ((1, 1, 1), (1, 1, 2))),
             PathWord(1, ((1, 2, 1), (2, 1, 1))),
         )
-        assert germ_equal(pair, unitary(pair, 1, 4), projection_q(pair, 1), x) == "equal"
+        s, t = unitary(pair, 1, 4), projection_q(pair, 1)
+        assert capped_germ_equal(pair, s, t, x, depth_cap=1) == "unknown"
+        assert germ_equal(pair, s, t, x) == "equal"
 
-    def test_depth_cap_reports_unknown(self):
-        # with the cap below the equality depth the comparison stays open
+    def test_equality_past_the_old_cap(self):
+        # u(1)^(2^40) halves its residual along each (1,1,1) and loses it on
+        # the B=0 arc (1,2,1): the germs first agree at depth 41
         pair = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 0], [0, 1]])
         x = periodic_point(
-            pair,
-            PathWord(1, ((1, 1, 1), (1, 1, 2))),
-            PathWord(1, ((1, 2, 1), (2, 1, 1))),
+            pair, PathWord(1, ((1, 1, 1),) * 40 + ((1, 2, 1),)), PathWord(2, ((2, 2, 2),))
         )
-        assert germ_equal(pair, unitary(pair, 1, 4), projection_q(pair, 1), x, depth_cap=1) == "unknown"
+        s, t = unitary(pair, 1, 2**40), projection_q(pair, 1)
+        assert capped_germ_equal(pair, s, t, x, depth_cap=40) == "unknown"
+        assert capped_germ_equal(pair, s, t, x, depth_cap=41) == "equal"
+        assert germ_equal(pair, s, t, x) == "equal"
+
+    def test_growing_residual_is_not_equal(self):
+        # B/A = 2 doubles the residual forever; no cap settles it
+        pair = MatrixPair.from_rows([[1]], [[2]])
+        x = loop_point(pair)
+        s, t = unitary(pair, 1), projection_q(pair, 1)
+        assert capped_germ_equal(pair, s, t, x, depth_cap=300) == "unknown"
+        assert germ_equal(pair, s, t, x) == "not-equal"
+
+
+class TestGermOracle:
+    """`germ_equal` against the capped scan of every cylinder depth."""
+
+    def _case(self, rng):
+        while True:
+            # B=0 arcs and negative B entries both occur
+            pair = random_pair(rng, n_max=3, a_max=2, b_max=2)
+            try:
+                x = _random_point(rng, pair)
+                break
+            except AssertionError:
+                continue
+        s = _element_at_point(rng, pair, x)
+        roll = rng.random()
+        if roll < 0.4:  # s cut down to a cylinder around x
+            w = x.unfold(rng.randint(0, 4))
+            t = multiply(pair, s, triple(pair, w, 0, w))
+        elif roll < 0.7:  # the same words with another exponent
+            t = triple(pair, s.left, s.exponent + rng.choice((-1, 1)) * rng.randint(1, 4), s.right)
+        else:
+            t = _element_at_point(rng, pair, x)
+        return pair, s, t, x
+
+    def test_agrees_with_capped_scan(self):
+        rng = random.Random(51)
+        seen = Counter()
+        for _ in range(3000):
+            pair, s, t, x = self._case(rng)
+            capped = capped_germ_equal(pair, s, t, x)
+            exact = germ_equal(pair, s, t, x)
+            seen[capped] += 1
+            if capped != "unknown":
+                assert exact == capped
+                continue
+            assert exact == "not-equal"
+            # s.e_d = t.e_d at some d <= 300 would give it at 300 too,
+            # since e_d.e_300 = e_300
+            w = x.unfold(300)
+            e = triple(pair, w, 0, w)
+            assert multiply(pair, s, e) != multiply(pair, t, e)
+        assert min(seen[v] for v in ("equal", "not-equal", "unknown")) >= 100
 
 
 class TestImagePoint:
