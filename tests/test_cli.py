@@ -259,6 +259,12 @@ class TestNegativeDepth:
     def test_fixedpoint_depth(self, capsys, d2_file):
         self.assert_rejected(capsys, "fixedpoint", "s(1,1,1).u(1)", d2_file, "--depth", "-3")
 
+    def test_germ_eq_depth_cap(self, capsys, e1_file):
+        # germ-eq has no cap, so a negative one is refused with the flag
+        self.assert_rejected(
+            capsys, "germ-eq", "q(1)", "q(1)", e1_file, "--at", "[] ~ [(1,1,1)]", "--depth-cap", "-1"
+        )
+
     def test_non_integer_depth(self, capsys, d2_file):
         self.assert_rejected(capsys, "fixedpoint", "s(1,1,1).u(1)", d2_file, "--depth", "abc")
 
@@ -430,6 +436,18 @@ class TestLetterBudget:
             self.assert_refused(capsys, "parse", 2, "fixedpoint", "s(1,1,1).u(1)", d2_file, "--depth", depth)
         code, out, _ = run(capsys, "act", "u(1)", point, d2_file, "--depth", str(LETTER_BUDGET))
         assert code == 0 and out.count("(1,1,") == LETTER_BUDGET
+
+    def test_scan_cap(self, capsys, d2_file):
+        # germ-eq builds one cylinder, as deep as the longest domain word plus
+        # the period, so the budget on its elements bounds that depth too
+        half = LETTER_BUDGET // 2
+        argv = ["germ-eq", "q(1)", "u(1)", d2_file, "--at", "[] ~ [(1,1,1)]"]
+        for right, answer in (("q(1)", "equal"), ("u(1)", "not-equal")):
+            argv[1:3] = [f"s(1,1,1)^{half}.s(1,1,1)*^{half}", right]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out.strip() == answer
+        argv[1] = f"s(1,1,1)^{half + 1}.s(1,1,1)*^{half + 1}"
+        self.assert_refused(capsys, "domain", 1, *argv)
 
     def test_realized_pair_past_the_budget(self, capsys):
         self.assert_refused(capsys, "domain", 1, "realize", "--k0", "Z^100000000", "--k1", "Z^100000000")

@@ -353,6 +353,17 @@ class TestGermEquality:
             PathWord(1, ((1, 1, 1), (1, 1, 2))),
             PathWord(1, ((1, 2, 1), (2, 1, 1))),
         )
+        assert germ_equal(pair, unitary(pair, 1, 4), projection_q(pair, 1), x) == "equal"
+
+    def test_depth_cap_reports_unknown(self):
+        # a scan capped below the equality depth leaves the comparison open;
+        # the one-depth comparison settles it
+        pair = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 0], [0, 1]])
+        x = periodic_point(
+            pair,
+            PathWord(1, ((1, 1, 1), (1, 1, 2))),
+            PathWord(1, ((1, 2, 1), (2, 1, 1))),
+        )
         s, t = unitary(pair, 1, 4), projection_q(pair, 1)
         assert capped_germ_equal(pair, s, t, x, depth_cap=1) == "unknown"
         assert germ_equal(pair, s, t, x) == "equal"
