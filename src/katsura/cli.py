@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from functools import cache
 
 from . import invsemigroup as isg
@@ -57,7 +56,7 @@ def _load_pair(path: str) -> MatrixPair:
 
 
 def _verdict_dict(v: Verdict) -> dict:
-    return {"value": v.value, "reasons": [asdict(r) for r in v.reasons]}
+    return {"value": v.value, "reasons": [{"tag": r.tag, "text": r.text} for r in v.reasons]}
 
 
 def _kgroups_dict(kt: KTheoryResult) -> dict:

@@ -4,11 +4,14 @@ realization of prescribed K-groups by a certified pair construction.
 A cokernel Z^m / MZ^n is fixed up to isomorphism by the rank of M and the
 entries of any diagonal matrix D = UMV with U and V unimodular: it is
 Z^(m - rank) plus the sum of the Z/d.  So `k_groups` reads it off
-`diagonal_form`, a sparse elimination that keeps neither U nor V and
-does not make the diagonal a divisor chain; `abelian_group` then
-normalizes the cyclic orders.  `smith_normal_form` keeps both witnesses
-and the divisor chain, for callers that need the transforms themselves;
-the tests check `diagonal_form` against it.
+`diagonal_form`, an elimination that keeps neither U nor V and does not
+make the diagonal a divisor chain; `abelian_group` then normalizes the
+cyclic orders.  The elimination runs on sparse rows while the active
+block is sparse, and finishes on dense lists once it has filled in, as
+Dumas, Saunders and Villard (2001) do for sparse Smith forms.
+`smith_normal_form` keeps both witnesses and the divisor chain, for
+callers that need the transforms themselves; the tests check
+`diagonal_form` against it.
 
 Everything is plain Python integers; no precision limits apply.
 """
@@ -263,12 +266,73 @@ def _settle(live: dict, cols: dict, r: int, c: int, touched: set) -> int:
                 else:
                     del row[j]
                     cols[j].discard(r)
+                    if not cols[j]:
+                        del cols[j]
         if len(row) > 1:
             touched.add(r)
             c = min((j for j in row if j != c), key=lambda j: abs(row[j]))
             continue
         del live[r], cols[c]
         return abs(p)
+
+
+def _dense_tail(live: dict, cols: dict) -> list[int]:
+    """Finish the elimination of the live rows as a dense block, returning
+    the absolute values of its pivots.
+
+    The rows become lists over the nonempty columns, so a row operation is
+    one pass of list arithmetic, with no dict lookups and no index sets.
+    Each pivot starts at an entry of smallest absolute value in the block.
+    Unless it is a unit, Euclid's algorithm on its row and the row holding
+    the next smallest entry of its column first brings it down to their
+    gcd.  One pass of nearest-integer quotients then clears the column,
+    leaving remainders of at most half the pivot.  As in `_settle`, the
+    pivot moves to the smallest remainder while one is left; once the
+    column is clear, the pivot row is reduced by symmetric remainders
+    (column operations that change that row alone), and the pivot moves
+    along the row while an entry is left there.
+    """
+    block = [[row.get(j, 0) for j in cols] for row in live.values()]
+    pivots = []
+    while block:
+        v = min(min(map(abs, filter(None, row))) for row in block)
+        r = next(i for i, row in enumerate(block) if v in row or -v in row)
+        c = block[r].index(v) if v in block[r] else block[r].index(-v)
+        while True:
+            p = block[r][c]
+            rest = [i for i, row in enumerate(block) if row[c] and i != r]
+            if rest and p not in (1, -1):
+                s = min(rest, key=lambda i: abs(block[i][c]))
+                while True:
+                    q = (2 * block[s][c] + p) // (2 * p)
+                    block[s] = b = [y - q * x for x, y in zip(block[r], block[s])]
+                    if not b[c]:
+                        break
+                    r, s, p = s, r, b[c]
+                rest = [i for i, row in enumerate(block) if row[c] and i != r]
+            a = block[r]
+            for i in rest:
+                q = (2 * block[i][c] + p) // (2 * p)
+                if q:
+                    block[i] = [y - q * x for x, y in zip(a, block[i])]
+            rest = [i for i in rest if block[i][c]]
+            if rest:
+                r = min(rest, key=lambda i: abs(block[i][c]))
+                continue
+            a = [y - (2 * y + p) // (2 * p) * p for y in a]  # zero at c, since q = 1 there
+            if any(a):
+                w = min(map(abs, filter(None, a)))
+                a[c] = p
+                block[r] = a
+                c = a.index(w) if w in a else a.index(-w)
+                continue
+            pivots.append(abs(p))
+            del block[r]
+            for row in block:
+                del row[c]
+            block = [row for row in block if any(row)]
+            break
+    return pivots
 
 
 def diagonal_form(rows: Sequence[Mapping[int, int]]) -> tuple[int, list[int]]:
@@ -282,14 +346,24 @@ def diagonal_form(rows: Sequence[Mapping[int, int]]) -> tuple[int, list[int]]:
     the first number is the count of zeros on the diagonal.  Neither the
     unimodular transforms nor the divisor chain of the Smith form is kept.
 
-    The matrix is stored as sparse rows plus, per column, the set of rows
-    holding it.  Each pivot is an entry of smallest absolute value, ties
-    going to the smallest Markowitz cost (row count - 1) * (column count -
-    1), which keeps fill-in low on sparse input.  A heap holds one key per
-    row, its smallest entry and that entry's cost, recomputed whenever the
-    row changes.  Column counts also move when other rows change, so a key
-    that comes up has its cost refreshed and goes back if the cost rose:
-    the smallest entry is exact, its cost as current as the keys are.
+    The matrix is stored as sparse rows plus, per nonempty column, the set
+    of rows holding it.  Each pivot is an entry of smallest absolute value,
+    ties going to the smallest Markowitz cost (row count - 1) * (column
+    count - 1), which keeps fill-in low on sparse input.  A heap holds one
+    key per row, its smallest entry and that entry's cost, recomputed
+    whenever the row changes.  Column counts also move when other rows
+    change, so a key that comes up has its cost refreshed and goes back if
+    the cost rose: the smallest entry is exact, its cost as current as the
+    keys are.
+
+    The next pivot's cost also tells when the block has filled in: with
+    more than two live rows left, 4 * cost >= (live rows - 1)^2 says that
+    the pivot's row and column, by their geometric mean, reach about half
+    the live rows.  Then `_dense_tail` finishes the elimination on lists
+    over the nonempty columns, with two-row Euclid steps and
+    nearest-integer quotients.  The test is O(1) per pivot; a sparse input
+    reaches the dense tail only for its last few rows, a dense one at its
+    first pivot.
     """
     from heapq import heapify, heappop, heappush  # here, to keep it off the import path
 
@@ -322,6 +396,9 @@ def diagonal_form(rows: Sequence[Mapping[int, int]]) -> tuple[int, list[int]]:
         if fresh[1] > k[1]:
             heappush(heap, fresh)
             continue
+        if 4 * fresh[1] >= (len(live) - 1) ** 2 and len(live) > 2:
+            pivots += _dense_tail(live, cols)
+            break
         touched: set[int] = set()
         pivots.append(_settle(live, cols, i, fresh[3], touched))
         for i in touched & live.keys():

@@ -90,10 +90,11 @@ def cokernel(m: Matrix) -> AbelianGroup:
 
 
 def smith_group(m: Matrix) -> AbelianGroup:
-    """The cokernel of a square matrix, read off its witness-carrying Smith
-    form: the zeros of the diagonal and its entries above 1, a divisor chain."""
+    """The cokernel of a matrix, read off its witness-carrying Smith form:
+    free rank rows - rank, the rank being the count of nonzero diagonal
+    entries, and torsion the entries above 1, a divisor chain."""
     diagonal = smith_normal_form(m).diagonal()
-    return AbelianGroup(diagonal.count(0), tuple(d for d in diagonal if d > 1))
+    return AbelianGroup(len(m) - sum(map(bool, diagonal)), tuple(d for d in diagonal if d > 1))
 
 
 def rank_det_mod(rows: list[dict[int, int]], p: int) -> tuple[int, int]:

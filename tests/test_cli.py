@@ -4,13 +4,15 @@ import json
 import signal
 import sys
 import time
+from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from katsura.cli import build_parser, main
+from katsura.decisions import analyze
 from katsura.errors import LETTER_BUDGET
-from katsura.parsing import NESTING_LIMIT
+from katsura.parsing import NESTING_LIMIT, format_group, parse_matrix_file
 
 E1_DOC = '{"N": 2, "A": [[2,1],[1,2]], "B": [[1,1],[1,1]]}'
 D2_DOC = '{"N": 1, "A": [[2]], "B": [[1]]}'
@@ -78,6 +80,24 @@ class TestAnalyze:
         assert doc["purely_infinite_simple"]["value"] == "yes"
         assert doc["kgroups"] == {"k0": "Z", "k1": "Z"}
         assert all("reasons" in v for k, v in doc.items() if k not in ("kgroups", "notes"))
+
+    @pytest.mark.parametrize("doc", [E1_DOC, '{"N": 2, "A": [[2,1],[1,2]], "B": [[1,0],[0,1]]}'])
+    def test_json_bytes_match_dataclass_fields(self, capsys, tmp_path, doc):
+        # the report built field by field, with reasons from dataclasses.asdict;
+        # the second pair lacks condition E, so it carries unknown verdicts
+        report = analyze(parse_matrix_file(doc))
+        expected = {
+            name: {"value": v.value, "reasons": [asdict(r) for r in v.reasons]}
+            for name, v in report.verdict_fields().items()
+        }
+        expected["kgroups"] = {"k0": format_group(report.kgroups.k0), "k1": format_group(report.kgroups.k1)}
+        if report.notes:
+            expected["notes"] = list(report.notes)
+        p = tmp_path / "pair.json"
+        p.write_text(doc)
+        code, out, _ = run(capsys, "analyze", str(p), "--json")
+        assert code == 0
+        assert out == json.dumps(expected, indent=2) + "\n"
 
     def test_simple_no(self, capsys, tmp_path):
         p = tmp_path / "flip.json"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from katsura import ktheory
 from katsura.errors import StructuralError, UnrealizableWithSquareMatrices
 from katsura.ktheory import (
     AbelianGroup,
@@ -271,6 +272,48 @@ def random_square(rng, kind):
 KINDS = ("dense", "sparse", "zero-lines", "all-zero", "large", "pair")
 
 
+def dense_block(rng, rows, cols, entry):
+    """A rows x cols matrix of entries drawn by `entry`, with a few rows
+    scaled by 2 or 3 for torsion and, when there are two rows to add, at
+    random a last row that is the sum of two others, for a rank deficiency."""
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for i in rng.sample(range(rows), min(rows, 3)):
+        f = rng.choice((2, 3))
+        m[i] = [f * x for x in m[i]]
+    if rows > 2 and rng.random() < 0.5:
+        i, j = rng.sample(range(rows - 1), 2)
+        m[-1] = [x + y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def banded_with_dense_lines(rng, n, lines):
+    """A tridiagonal matrix, sparse enough to eliminate row by row, crossed
+    by `lines` dense rows and as many dense columns, which fill it in."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(max(i - 1, 0), min(i + 2, n)):
+            m[i][j] = rng.choice((-3, -2, -1, 1, 2, 3))
+    for k in rng.sample(range(n), lines):
+        m[k] = [rng.randint(-9, 9) for _ in range(n)]
+        for row in m:
+            row[k] = rng.randint(-9, 9)
+    return m
+
+
+@pytest.fixture
+def tail_rows(monkeypatch):
+    """The number of live rows handed to the dense tail, one per call."""
+    seen = []
+    tail = ktheory._dense_tail
+
+    def counting(live, cols):
+        seen.append(len(live))
+        return tail(live, cols)
+
+    monkeypatch.setattr(ktheory, "_dense_tail", counting)
+    return seen
+
+
 class TestDiagonalForm:
     def test_matches_smith_form(self):
         rng = random.Random(65)
@@ -294,10 +337,57 @@ class TestDiagonalForm:
         assert diagonal_form([{0: 2, 1: 4, 2: 4}]) == (0, [2])
         assert diagonal_form([{0: 2}, {0: 4}, {0: 4}]) == (2, [2])
 
-    def test_input_rows_untouched(self):
+    def test_input_rows_untouched(self, tail_rows):
         rows = [{0: 3, 1: 1}, {0: 1, 1: 3}]
         diagonal_form(rows)
         assert rows == [{0: 3, 1: 1}, {0: 1, 1: 3}]
+        # a dense 6 x 6 goes through the dense tail's list copies
+        dense = [{j: (i + 2) * (j + 3) % 7 - 3 or 5 for j in range(6)} for i in range(6)]
+        before = [dict(row) for row in dense]
+        diagonal_form(dense)
+        assert tail_rows == [6]
+        assert dense == before
+
+    def test_dense_squares_reach_the_tail(self, tail_rows):
+        rng = random.Random(66)
+        cases = [(n, lambda: rng.randint(-9, 9)) for n in (12, 15, 18, 21, 24, 27, 30)]
+        cases += [(n, lambda: rng.choice((-1, 1)) * rng.randint(10**6 - 999, 10**6 + 999)) for n in (12, 16, 20)]
+        for n, entry in cases:
+            m = dense_block(rng, n, n, entry)
+            assert abelian_group(*diagonal_form(sparse_rows(m))) == smith_group(m), m
+        assert len(tail_rows) == len(cases)
+
+    def test_rectangular_blocks_reach_the_tail(self, tail_rows):
+        rng = random.Random(67)
+        shapes = [(8, 20), (22, 12), (13, 24), (24, 13), (6, 30), (18, 11)]
+        for rows, cols in shapes:
+            m = dense_block(rng, rows, cols, lambda: rng.randint(-9, 9) if rng.random() < 0.8 else 0)
+            m[rng.randrange(rows)] = [0] * cols
+            c = rng.randrange(cols)
+            for row in m:
+                row[c] = 0
+            assert abelian_group(*diagonal_form(sparse_rows(m))) == smith_group(m), m
+        assert len(tail_rows) == len(shapes)
+
+    @pytest.mark.parametrize("n, lines", [(30, 3), (40, 2), (40, 4), (60, 6)])
+    def test_switch_part_way(self, tail_rows, n, lines):
+        m = banded_with_dense_lines(random.Random(n + lines), n, lines)
+        assert abelian_group(*diagonal_form(sparse_rows(m))) == smith_group(m), m
+        assert len(tail_rows) == 1 and 2 < tail_rows[0] < n
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_phase_keeps_sparse_pairs(self, tail_rows, seed):
+        # the perfbench sparse_pair shape: a 300-cycle plus 37 chords; the
+        # sparse phase eliminates all but at most 15 (5 %) of its rows
+        pair = cycle_with_chords(random.Random(seed), 300, 300 // 8)
+        diagonal_form(sparse_rows(i_minus(pair.a)))
+        assert all(rows <= 15 for rows in tail_rows), tail_rows
+
+    def test_dense_matrix_enters_the_tail_whole(self, tail_rows):
+        rng = random.Random(68)
+        m = [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(20)] for _ in range(20)]
+        assert abelian_group(*diagonal_form(sparse_rows(m))) == smith_group(m)
+        assert tail_rows == [20]
 
     @pytest.mark.parametrize("n", [100, 200])
     def test_sparse_cycle_with_chords(self, n):
