@@ -52,10 +52,6 @@ def check_path_word(pair: MatrixPair, p: PathWord) -> PathWord:
     return p
 
 
-def empty_path(vertex: int) -> PathWord:
-    return PathWord(vertex)
-
-
 def is_prefix(p: PathWord, q: PathWord) -> bool:
     """p a left factor of q, source vertices included."""
     return p.base == q.base and q.edges[: len(p.edges)] == p.edges
@@ -113,12 +109,6 @@ def triple(pair: MatrixPair, left: PathWord, exponent: int, right: PathWord) -> 
     if exponent and pair.b_row_is_zero(left.target):
         exponent = 0
     return Triple(left, exponent, right)
-
-
-def path_isometry(pair: MatrixPair, p: PathWord) -> Triple:
-    """s_p as an element: the word with trivial unitary part and empty adjoint."""
-    check_path_word(pair, p)
-    return triple(pair, p, 0, empty_path(p.target))
 
 
 def star(x: ISgElement) -> ISgElement:
@@ -277,15 +267,3 @@ def multiply(pair: MatrixPair, x: ISgElement, y: ISgElement) -> ISgElement:
 
 def is_idempotent(x: ISgElement) -> bool:
     return isinstance(x, Zero) or (x.exponent == 0 and x.left == x.right)
-
-
-def range_projection(pair: MatrixPair, x: ISgElement) -> ISgElement:
-    if isinstance(x, Zero):
-        return ZERO
-    return triple(pair, x.left, 0, x.left)
-
-
-def source_projection(pair: MatrixPair, x: ISgElement) -> ISgElement:
-    if isinstance(x, Zero):
-        return ZERO
-    return triple(pair, x.right, 0, x.right)

@@ -9,9 +9,9 @@ make the diagonal a divisor chain; `abelian_group` then normalizes the
 cyclic orders.  The elimination runs on sparse rows while the active
 block is sparse, and finishes on dense lists once it has filled in, as
 Dumas, Saunders and Villard (2001) do for sparse Smith forms.
-`smith_normal_form` keeps both witnesses and the divisor chain, for
-callers that need the transforms themselves; the tests check
-`diagonal_form` against it.
+`smith_normal_form` keeps both witnesses and the divisor chain; no
+command calls it, but perfbench's `snf` operation times it and the
+tests check `diagonal_form` against it.
 
 Everything is plain Python integers; no precision limits apply.
 """

@@ -9,7 +9,6 @@ arithmetic; nothing in this package touches floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, compress
 from operator import not_
 from typing import Sequence
@@ -98,14 +97,6 @@ class MatrixPair:
         """The row section of the support at i."""
         return self.sections[i - 1]
 
-    def edges(self) -> list[Edge]:
-        return [
-            (i, j, n)
-            for i in self.vertices
-            for j in self.out_vertices(i)
-            for n in range(1, self.a_at(i, j) + 1)
-        ]
-
     def has_edge(self, edge: Edge) -> bool:
         i, j, n = edge
         return (
@@ -116,10 +107,6 @@ class MatrixPair:
 
     def b_row_is_zero(self, i: int) -> bool:
         return all(x == 0 for x in self.b[i - 1])
-
-    def ratio(self, i: int, j: int) -> Fraction:
-        """B[i][j] / A[i][j] for a support arc; the step factor of the integrality trace."""
-        return Fraction(self.b_at(i, j), self.a_at(i, j))
 
 
 def strongly_connected_components(pair: MatrixPair) -> list[tuple[int, ...]]:

@@ -1,4 +1,5 @@
-"""One-sided infinite paths, the partial action on them, and germ arithmetic.
+"""One-sided infinite paths, the partial action on them, fixed points and germ
+equality.
 
 A point of the path space is an infinite sequence of in-range edges.  Finite
 prefixes double as the clopen cylinders they determine.  Eventually periodic
@@ -10,25 +11,20 @@ lose nothing by restricting to them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DepthCapExceeded, DomainError, StructuralError
 from .invsemigroup import (
     ISgElement,
     PathWord,
-    Triple,
     Zero,
     check_path_word,
     is_idempotent,
     is_prefix,
     multiply,
     push_unitary,
-    star,
     triple,
 )
 from .matrices import Edge, MatrixPair
-
-FinitePath = PathWord
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ class NeedLongerPrefix:
 
 @dataclass(frozen=True)
 class ActResult:
-    prefix: FinitePath
+    prefix: PathWord
     residual: int  # unitary exponent still to be pushed through any further letters
 
 
@@ -113,7 +109,7 @@ NEED_LONGER_PREFIX = NeedLongerPrefix()
 ActOutcome = ActZero | NeedLongerPrefix | ActResult
 
 
-def act_on_prefix(pair: MatrixPair, s: ISgElement, gamma: FinitePath) -> ActOutcome:
+def act_on_prefix(pair: MatrixPair, s: ISgElement, gamma: PathWord) -> ActOutcome:
     """Apply s to a cylinder: strips s's adjoint word, prepends its path word,
     and pushes its unitary exponent through the remaining letters."""
     if isinstance(s, Zero):
@@ -130,7 +126,7 @@ def act_on_prefix(pair: MatrixPair, s: ISgElement, gamma: FinitePath) -> ActOutc
 
 def act_on_periodic(
     pair: MatrixPair, s: ISgElement, x: EventuallyPeriodicPath, depth: int
-) -> ActZero | FinitePath:
+) -> ActZero | PathWord:
     """First `depth` letters of s . x, or ActZero when x is outside the domain."""
     if isinstance(s, Zero):
         return ACT_ZERO
@@ -188,7 +184,7 @@ def image_point(
 
 def generate_fixed_point(
     pair: MatrixPair, s: ISgElement, depth: int
-) -> FinitePath | None:
+) -> PathWord | None:
     """Prefix of the unique fixed point of s, when it has one.
 
     s reduces to a cycle-with-exponent by cancelling the shorter of its two
@@ -214,52 +210,6 @@ def generate_fixed_point(
         out.extend(block)
         block, t = push_unitary(pair, vertex, t, block)
     return PathWord(right.base, tuple(out[:depth]))
-
-
-def is_fixed_by_unitary(
-    pair: MatrixPair, vertex: int, exponent: int, x: EventuallyPeriodicPath
-) -> bool:
-    """Whether the vertex unitary's power fixes the point: every term of the
-    integrality trace K_0 = exponent, K_j = K_(j-1) * B/A along the j-th
-    letter of x must be an integer.
-
-    One pass over preperiod plus period suffices: once K hits zero it stays
-    zero, and otherwise the per-prime valuations evolve linearly with the
-    period ratio, so integrality forever is equivalent to integrality over
-    the first pass together with the period ratio being an integer.
-    """
-    if x.source != vertex:
-        raise StructuralError(f"point starts at {x.source}, not {vertex}")
-    if exponent == 0:
-        return True
-    k = Fraction(exponent)
-    period_ratio = Fraction(1)
-    for step, (i, j, _) in enumerate(x.preperiod.edges + x.period.edges):
-        r = pair.ratio(i, j)
-        k *= r
-        if k.denominator != 1:
-            return False
-        if k == 0:
-            return True
-        if step >= len(x.preperiod):
-            period_ratio *= r
-    return period_ratio.denominator == 1
-
-
-@dataclass(frozen=True)
-class Germ:
-    """An element germinating at an eventually periodic point of its domain."""
-
-    element: Triple
-    point: EventuallyPeriodicPath
-
-
-def germ(pair: MatrixPair, s: ISgElement, x: EventuallyPeriodicPath) -> Germ:
-    if isinstance(s, Zero):
-        raise DomainError("zero carries no germ")
-    if not is_prefix(s.right, x.unfold(len(s.right))):
-        raise DomainError("point lies outside the element's domain")
-    return Germ(s, x)
 
 
 def germ_equal(
@@ -291,28 +241,12 @@ def germ_equal(
       exists, sits at an index below D.
     """
     for elem in (s, t):
-        germ(pair, elem, x)  # DomainError unless elem carries a germ at x
+        if isinstance(elem, Zero):
+            raise DomainError("zero carries no germ")
+        if not is_prefix(elem.right, x.unfold(len(elem.right))):
+            raise DomainError("point lies outside the element's domain")
     depth = max(len(x.preperiod), len(s.right), len(t.right)) + len(x.period)
     cylinder = x.unfold(depth)
     e = triple(pair, cylinder, 0, cylinder)
     return "equal" if multiply(pair, s, e) == multiply(pair, t, e) else "not-equal"
 
-
-def germ_range(pair: MatrixPair, gm: Germ) -> EventuallyPeriodicPath:
-    image = image_point(pair, gm.element, gm.point)
-    assert isinstance(image, EventuallyPeriodicPath)
-    return image
-
-
-def germ_inverse(pair: MatrixPair, gm: Germ) -> Germ:
-    return germ(pair, star(gm.element), germ_range(pair, gm))
-
-
-def germ_compose(pair: MatrixPair, g1: Germ, g2: Germ) -> Germ:
-    """[s, x] . [t, y] = [st, y], defined when x = t . y."""
-    image = germ_range(pair, g2)
-    if image != g1.point:
-        raise DomainError("germs do not compose: range of the second != source of the first")
-    product = multiply(pair, g1.element, g2.element)
-    assert isinstance(product, Triple)
-    return germ(pair, product, g2.point)

@@ -32,14 +32,6 @@ class HAtom:
     exponent: int = 1
 
 
-def h(vertex: int, exponent: int = 1) -> HAtom:
-    return HAtom(vertex, exponent)
-
-
-def g(i: int, j: int, n: int) -> Edge:
-    return (i, j, n)
-
-
 RawAtom = Union[HAtom, Edge]
 
 
@@ -155,27 +147,6 @@ def compose(pair: MatrixPair, f: SgpElement, gel: SgpElement) -> SgpElement | No
     return standard_form(pair, word)
 
 
-def _gword_prefix_data(pair: MatrixPair, f: GWord, w: GWord) -> tuple[bool, int]:
-    """For len(f) <= len(w): does f agree with w on arcs and interior offsets,
-    with final offsets congruent mod A?  Returns (agrees, offset_gap) where
-    offset_gap = w_k - f_k at f's final position."""
-    k = len(f)
-    for t in range(k):
-        fi, fj, fn = f.edges[t]
-        wi, wj, wn = w.edges[t]
-        if (fi, fj) != (wi, wj):
-            return False, 0
-        if t < k - 1 and fn != wn:
-            return False, 0
-    fn = f.edges[k - 1][2]
-    wn = w.edges[k - 1][2]
-    i, j = f.edges[k - 1][0], f.edges[k - 1][1]
-    gap = wn - fn
-    if gap % pair.a_at(i, j) != 0:
-        return False, 0
-    return True, gap
-
-
 def intersects(pair: MatrixPair, f: SgpElement, gel: SgpElement) -> bool:
     """Whether f and gel admit a common multiple."""
     if isinstance(f, HPower) and isinstance(gel, HPower):
@@ -184,29 +155,17 @@ def intersects(pair: MatrixPair, f: SgpElement, gel: SgpElement) -> bool:
         return gel.source == f.vertex
     if isinstance(gel, HPower):
         return f.source == gel.vertex
+    # the shorter word agrees with the longer one on every letter but its
+    # last, which has the same arc and an offset congruent mod A
     short, long_ = (f, gel) if len(f) <= len(gel) else (gel, f)
-    agrees, _ = _gword_prefix_data(pair, short, long_)
-    return agrees
-
-
-def divides(pair: MatrixPair, f: SgpElement, gel: SgpElement) -> bool:
-    """f = gel, or some right factor extends f to gel."""
-    if f == gel:
-        return True
-    if isinstance(f, HPower) and isinstance(gel, HPower):
-        return f.vertex == gel.vertex and f.exponent < gel.exponent
-    if isinstance(f, HPower):
-        return gel.source == f.vertex
-    if isinstance(gel, HPower):
-        return False
-    if len(f) > len(gel):
-        return False
-    agrees, gap = _gword_prefix_data(pair, f, gel)
-    if not agrees:
-        return False
-    if len(f) < len(gel):
-        return True
-    return gap > 0  # equal length: gel = f . h^t needs t >= 1
+    k = len(short)
+    i, j, n = short.edges[-1]
+    i2, j2, m = long_.edges[k - 1]
+    return (
+        short.edges[:-1] == long_.edges[: k - 1]
+        and (i, j) == (i2, j2)
+        and (m - n) % pair.a_at(i, j) == 0
+    )
 
 
 def lcm(pair: MatrixPair, f: SgpElement, gel: SgpElement) -> SgpElement | None:
@@ -223,36 +182,3 @@ def lcm(pair: MatrixPair, f: SgpElement, gel: SgpElement) -> SgpElement | None:
         return f if len(f) > len(gel) else gel
     # equal length and congruent finals: the larger final offset wins
     return f if f.edges[-1][2] >= gel.edges[-1][2] else gel
-
-
-def finite_partition(pair: MatrixPair, root: int, elem: SgpElement) -> list[SgpElement]:
-    """A finite pairwise-disjoint cover of everything composable after h(root),
-    containing `elem`.
-
-    Built by expanding a rooted tree along elem's edges: at each interior
-    depth take all sibling first steps except the one elem continues with;
-    at the final depth take the full sibling family inside elem's offset
-    window [tA+1, (t+1)A].
-    """
-    if source(elem) != root:
-        raise DomainError(f"element does not start at vertex {root}")
-    if isinstance(elem, HPower):
-        return [HPower(root, 1)]
-
-    parts: list[SgpElement] = []
-    prefix: tuple[Edge, ...] = ()
-    for depth in range(len(elem) - 1):
-        i, j, m = elem.edges[depth]
-        for l in pair.out_vertices(i):
-            for n in range(1, pair.a_at(i, l) + 1):
-                if (l, n) != (j, m):
-                    parts.append(GWord(prefix + ((i, l, n),)))
-        prefix += ((i, j, m),)
-    i, j, m = elem.edges[-1]
-    a = pair.a_at(i, j)
-    window = (m - ((m - 1) % a + 1)) // a  # the unique t with m in [tA+1, (t+1)A]
-    for l in pair.out_vertices(i):
-        al = pair.a_at(i, l)
-        for n in range(1, al + 1):
-            parts.append(GWord(prefix + ((i, l, n + window * al),)))
-    return parts

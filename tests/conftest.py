@@ -67,7 +67,8 @@ def cycle_ratio_denominators(pair: MatrixPair) -> set[int]:
     for verts in simple_vertex_cycles(pair):
         ratio = Fraction(1)
         for t in range(len(verts)):
-            ratio *= pair.ratio(verts[t], verts[(t + 1) % len(verts)])
+            i, j = verts[t], verts[(t + 1) % len(verts)]
+            ratio *= Fraction(pair.b_at(i, j), pair.a_at(i, j))
         out.add(ratio.denominator)
     return out
 

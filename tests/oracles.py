@@ -5,15 +5,17 @@ second and usually slower route, a question the library decides another
 way: cycle enumeration for the graph conditions, the classical sufficient
 conditions for simplicity, a plain matrix product for Smith witnesses, the
 Smith diagonal and a rank and determinant modulo a prime for the
-witness-free diagonal form, the integrality trace term by term, a
-capped search of the trace's state graph for cylinders of fixed points,
-the oracle of `fixed_point_escape`, and the product of two partial
+witness-free diagonal form, the integrality trace K_j = l . prod B/A term
+by term, a capped search of the trace's state graph for cylinders of fixed
+points, the oracle of `fixed_point_escape`, and the product of two partial
 isometries taken whole, the oracle of the factor-by-factor fold behind
 `multiply` and `parse_isg`.  A scan of cylinder depths up to a cap is the
-oracle of the one-depth `germ_equal`.  The generators s(i,j,n), u(v)^t
-and q(v) are built here from the normal form directly, as references for
-the parser, and `cokernel` reads a dense matrix's cokernel off the
-witness-free diagonal form.
+oracle of the one-depth `germ_equal`.  Divisibility in the semigroupoid,
+which the library never decides, is found by building the one candidate
+quotient and checking it through `compose`; the lcm tests rest on it.
+The generators s(i,j,n), u(v)^t and q(v) are built here from the normal
+form directly, as references for the parser, and `cokernel` reads a dense
+matrix's cokernel off the witness-free diagonal form.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from katsura.invsemigroup import (
 from katsura.ktheory import AbelianGroup, abelian_group, diagonal_form, smith_normal_form
 from katsura.matrices import Edge, MatrixPair, graph_facts
 from katsura.pathspace import EventuallyPeriodicPath
+from katsura.semigroupoid import GWord, HPower, SgpElement, compose, target
 
 Matrix = list[list[int]]
 
@@ -73,6 +76,44 @@ def pairwise_multiply(pair: MatrixPair, x: ISgElement, y: ISgElement) -> ISgElem
         right = PathWord(y.right.base, y.right.edges + pushed)
         return triple(pair, x.left, x.exponent - carry, right)
     return ZERO
+
+
+def witness_quotient(pair: MatrixPair, f: SgpElement, m: SgpElement) -> SgpElement | None:
+    """The only possible e with compose(f, e) == m (right factors are unique
+    by left cancellation), or None when the shapes already rule one out."""
+    if isinstance(m, HPower):
+        if isinstance(f, HPower) and f.vertex == m.vertex and f.exponent < m.exponent:
+            return HPower(f.vertex, m.exponent - f.exponent)
+        return None
+    medges = m.edges
+    if isinstance(f, HPower):
+        i, j, n = medges[0]
+        if f.vertex != i:
+            return None
+        return GWord(((i, j, n - f.exponent * pair.b_at(i, j)),) + medges[1:])
+    k = len(f)
+    if k > len(medges):
+        return None
+    i, j, nf = f.edges[-1]
+    a = pair.a_at(i, j)
+    gap = medges[k - 1][2] - nf
+    if gap % a:
+        return None
+    t = gap // a
+    if k == len(medges):
+        return HPower(target(f), t) if t >= 1 else None
+    # reducing f's final offset carries -t into the next offset's B-shift
+    i2, j2, n2 = medges[k]
+    return GWord(((i2, j2, n2 + t * pair.b_at(i2, j2)),) + medges[k + 1 :])
+
+
+def divides_by_witness(pair: MatrixPair, f: SgpElement, m: SgpElement) -> bool:
+    """Whether f divides m in the semigroupoid (f = m, or m = f . e for some
+    e): derive the candidate quotient and verify it through compose."""
+    if f == m:
+        return True
+    e = witness_quotient(pair, f, m)
+    return e is not None and compose(pair, f, e) == m
 
 
 def mat_mul(x: Matrix, y: Matrix) -> Matrix:
@@ -263,7 +304,7 @@ def integrality_trace(
     k = Fraction(exponent)
     out = []
     for i, j, _ in edges:
-        k = k * pair.ratio(i, j)
+        k = k * Fraction(pair.b_at(i, j), pair.a_at(i, j))
         out.append(k)
     return out
 
@@ -342,7 +383,7 @@ def has_fixed_cylinder(
             return FixedCylinderResult("yes", witness_path(state))
         edges_out[state] = []
         for w in pair.out_vertices(v):
-            k2 = k * pair.ratio(v, w)
+            k2 = k * Fraction(pair.b_at(v, w), pair.a_at(v, w))
             if k2.denominator != 1:
                 breaking.add(state)
                 continue

@@ -11,42 +11,21 @@ import time
 import pytest
 
 from katsura.decisions import analyze, fixed_point_escape
-from katsura.errors import UnrealizableWithSquareMatrices
-from katsura.invsemigroup import (
-    PathWord,
-    multiply,
-    push_unitary,
-    range_projection,
-    source_projection,
-    star,
-    triple,
-)
+from katsura.errors import DepthCapExceeded, UnrealizableWithSquareMatrices
+from katsura.invsemigroup import PathWord, Zero, multiply, push_unitary, star, triple
 from katsura.ktheory import AbelianGroup, k_groups, realize, smith_normal_form
 from katsura.matrices import MatrixPair, graph_facts
 from katsura.parsing import format_group
 from katsura.pathspace import (
     ActResult,
+    act_on_periodic,
     act_on_prefix,
     eventually_periodic,
     generate_fixed_point,
-    germ,
-    germ_compose,
     germ_equal,
-    germ_inverse,
-    germ_range,
-    is_fixed_by_unitary,
+    image_point,
 )
-from katsura.semigroupoid import (
-    GWord,
-    HPower,
-    compose,
-    divides,
-    intersects,
-    lcm,
-    source,
-    standard_form,
-    target,
-)
+from katsura.semigroupoid import GWord, HPower, compose, intersects, lcm, standard_form, target
 
 from conftest import (
     cycle_ratio_denominators,
@@ -58,7 +37,7 @@ from conftest import (
     random_raw_word,
     random_walk,
 )
-from oracles import has_fixed_cylinder, mat_mul
+from oracles import divides_by_witness, has_fixed_cylinder, mat_mul, projection_q, unitary
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
 FLIP = MatrixPair.from_rows([[0, 1], [1, 0]], [[0, 1], [1, 0]])
@@ -147,44 +126,6 @@ def test_criterion_03_rewriting_confluence():
     print("\nACCEPTANCE 3: PASS - 1000 raw words confluent under random rewriting orders")
 
 
-def _witness_quotient(pair, f, m):
-    """The only possible e with compose(f, e) == m (right factors are unique
-    by left cancellation), or None when the shapes already rule one out."""
-    if isinstance(m, HPower):
-        if isinstance(f, HPower) and f.vertex == m.vertex and f.exponent < m.exponent:
-            return HPower(f.vertex, m.exponent - f.exponent)
-        return None
-    medges = m.edges
-    if isinstance(f, HPower):
-        i, j, n = medges[0]
-        if f.vertex != i:
-            return None
-        return GWord(((i, j, n - f.exponent * pair.b_at(i, j)),) + medges[1:])
-    k = len(f)
-    if k > len(medges):
-        return None
-    i, j, nf = f.edges[-1]
-    a = pair.a_at(i, j)
-    gap = medges[k - 1][2] - nf
-    if gap % a:
-        return None
-    t = gap // a
-    if k == len(medges):
-        return HPower(target(f), t) if t >= 1 else None
-    # reducing f's final offset carries -t into the next offset's B-shift
-    i2, j2, n2 = medges[k]
-    return GWord(((i2, j2, n2 + t * pair.b_at(i2, j2)),) + medges[k + 1 :])
-
-
-def _divides_by_witness(pair, f, m):
-    """Independent divisibility: derive the candidate quotient and verify it
-    definitionally through compose."""
-    if f == m:
-        return True
-    e = _witness_quotient(pair, f, m)
-    return e is not None and compose(pair, f, e) == m
-
-
 def _common_multiples(pair, f, w, max_extra):
     """Bounded family of common multiples: extensions of either side (interior
     offsets in range, final offset windowed) that both sides divide."""
@@ -215,7 +156,7 @@ def _common_multiples(pair, f, w, max_extra):
         for m in candidates:
             if m is None or m in out:
                 continue
-            if _divides_by_witness(pair, f, m) and _divides_by_witness(pair, w, m):
+            if divides_by_witness(pair, f, m) and divides_by_witness(pair, w, m):
                 out.append(m)
     return out
 
@@ -244,13 +185,13 @@ def test_criterion_04_lcm_oracle():
         checked += 1
         m = lcm(pair, f, w)
         assert m is not None
-        assert divides(pair, f, m) and divides(pair, w, m)
+        assert divides_by_witness(pair, f, m) and divides_by_witness(pair, w, m)
         family = _common_multiples(pair, f, w, max_extra=2)
         # m is in the enumerated family and divides every member, which pins
         # it as the unique brute-force minimum (divisibility is antisymmetric)
         assert m in family, (f, w, m)
         for cm in family:
-            assert _divides_by_witness(pair, m, cm), (f, w, m, cm)
+            assert divides_by_witness(pair, m, cm), (f, w, m, cm)
     elapsed = time.monotonic() - start_time
     assert elapsed < 30.0
     print(f"\nACCEPTANCE 4: PASS - 500 intersecting pairs match the brute-force lcm ({elapsed:.1f}s)")
@@ -266,8 +207,11 @@ def test_criterion_05_inverse_semigroup_axioms():
         assert multiply(pair, multiply(pair, x, star(x)), x) == x
         assert star(multiply(pair, x, y)) == multiply(pair, star(y), star(x))
         assert multiply(pair, multiply(pair, x, y), z) == multiply(pair, x, multiply(pair, y, z))
-        e = source_projection(pair, x)
-        f = range_projection(pair, y)
+        # the source projection of x and the range projection of y commute
+        e = multiply(pair, star(x), x)
+        f = multiply(pair, y, star(y))
+        assert e == (x if isinstance(x, Zero) else triple(pair, x.right, 0, x.right))
+        assert f == (y if isinstance(y, Zero) else triple(pair, y.left, 0, y.left))
         assert multiply(pair, e, f) == multiply(pair, f, e)
     print("\nACCEPTANCE 5: PASS - 1000 random triples satisfy the inverse-semigroup laws")
 
@@ -308,6 +252,7 @@ def test_criterion_07_fixed_point_laws():
     letters = [(1, 1, 1), (1, 1, 2)]
     for l in (1, -1, 2, -2, 3, -3, 4, -4):
         assert has_fixed_cylinder(D2, 1, l).value == "no"
+        power = unitary(D2, 1, l)
         for pre_len in range(3):
             for per_len in range(1, 4):
                 for pre in itertools.product(letters, repeat=pre_len):
@@ -315,7 +260,7 @@ def test_criterion_07_fixed_point_laws():
                         x = eventually_periodic(
                             PathWord(1, tuple(pre)), PathWord(1, tuple(per))
                         )
-                        assert not is_fixed_by_unitary(D2, 1, l, x)
+                        assert image_point(D2, power, x) != x
     # (b) proportional B fixes everything at the proportionality constant
     rng = random.Random(107)
     for _ in range(30):
@@ -335,7 +280,10 @@ def test_criterion_07_fixed_point_laws():
             if per_edges[-1][1] != pre.target:
                 continue
             x = eventually_periodic(pre, PathWord(pre.target, per_edges))
-            assert is_fixed_by_unitary(pair, x.source, c, x)
+            # the residual grows as c^k, so the image is read off a prefix
+            # covering the preperiod and three period copies
+            depth = len(x.preperiod) + 3 * len(x.period)
+            assert act_on_periodic(pair, unitary(pair, x.source, c), x, depth) == x.unfold(depth)
     # (c) generated fixed points really are fixed to depth 20
     verified = 0
     while verified < 100:
@@ -480,24 +428,24 @@ def test_criterion_11_groupoid_laws():
         back = random_backward_walk(rng, pair, right.target, rng.randint(0, 2))
         left = PathWord(back[0][0] if back else right.target, back)
         s = triple(pair, left, rng.randint(-2, 2), right)
+        # a germ is a pair (element, point in its domain); [s, x]^-1 is
+        # [s*, s . x], and [s, x] . [t, y] is [st, y] when t . y = x
         try:
-            g1 = germ(pair, s, x)
-            inv = germ_inverse(pair, g1)
-            double = germ_inverse(pair, inv)
-            prod = germ_compose(pair, g1, inv)
-            unit_back = germ_compose(pair, inv, g1)
-        except Exception:
+            y = image_point(pair, s, x)
+            x_back = image_point(pair, star(s), y)
+        except DepthCapExceeded:
             continue
         checked += 1
-        # [s,x]^-1^-1 = [s,x]
-        assert double.point == g1.point
-        assert germ_equal(pair, double.element, g1.element, g1.point) == "equal"
-        # g . g^-1 = unit at r(g), g^-1 . g = unit at d(g)
-        assert germ_equal(pair, prod.element, range_projection(pair, s), prod.point) == "equal"
-        assert germ_equal(pair, unit_back.element, source_projection(pair, s), g1.point) == "equal"
-        # unit composes trivially
-        unit = germ(pair, range_projection(pair, s), germ_range(pair, g1))
-        led = germ_compose(pair, unit, g1)
-        assert germ_equal(pair, led.element, g1.element, g1.point) == "equal"
+        # [s,x]^-1^-1 = [s**, s* . (s . x)] = [s,x]
+        assert x_back == x
+        assert germ_equal(pair, star(star(s)), s, x) == "equal"
+        # g . g^-1 = [ss*, y] is the unit at r(g) = y, and g^-1 . g = [s*s, x]
+        # the unit at d(g) = x: every idempotent whose domain holds the point
+        # has the germ of the vertex projection there
+        range_unit, source_unit = multiply(pair, s, star(s)), multiply(pair, star(s), s)
+        for unit, point in ((range_unit, y), (source_unit, x)):
+            assert germ_equal(pair, unit, projection_q(pair, point.source), point) == "equal"
+        # unit composes trivially: [ss*, y] . [s, x] = [ss*s, x] = [s, x]
+        assert germ_equal(pair, multiply(pair, range_unit, s), s, x) == "equal"
     assert checked >= 120
     print(f"\nACCEPTANCE 11: PASS - groupoid germ laws hold on {checked} sampled germs")

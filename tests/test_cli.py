@@ -225,6 +225,11 @@ class TestActionCommands:
         )
         assert code == 0 and out.strip() == "equal"
 
+    def test_germ_eq_zero(self, capsys, e1_file):
+        code, out, err = run(capsys, "germ-eq", "0", "q(1)", e1_file, "--at", "[] ~ [(1,1,1)]")
+        assert code == 1 and out == ""
+        assert err == '{"kind": "domain", "message": "zero carries no germ"}\n'
+
     def test_germ_eq_depth_cap_retired(self, capsys, e1_file):
         # germ-eq is exact and has no cap to set
         code, out, err = run(

@@ -382,19 +382,6 @@ class TestTransitory:
             Cycle(((1, 1, 1), (2, 2, 1)))  # endpoints do not chain
 
 
-class TestGraph:
-    def test_edge_count_is_entry_sum(self):
-        rng = random.Random(16)
-        for _ in range(50):
-            pair = random_pair(rng, n_max=4, a_max=3)
-            edges = pair.edges()
-            assert len(edges) == sum(x for row in pair.a for x in row)
-            assert all(1 <= n <= pair.a_at(i, j) for i, j, n in edges)
-
-    def test_offsets_enumerate_multiplicity(self):
-        assert E1.edges() == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
-
-
 class TestPathExtension:
     def test_irreducible_implies(self):
         assert graph_facts(E1).paths_extend
