@@ -9,10 +9,13 @@ Eventually periodic:     PRE ~ PER          with PRE, PER path literals; an
                          empty PRE without `@v` sits at the start of PER
 Abelian groups:          0 | Z | Z^r | Z/d  joined by `+`
 
-Whitespace is spaces and tabs, allowed between any two tokens.  Each atom
-is read by one match of a compiled pattern, and a product is folded factor
-by factor as it is read, so parsing takes time linear in the letters read
-and produced.
+Whitespace is spaces and tabs, allowed between any two tokens.  In the
+product loops of the s/u/q, g/h and path grammars, one pattern match reads
+a plain factor (an atom with at most its one usual postfix) and the
+separator after it; any other factor, or one that fails a check, is read
+token by token from the same offset, which gives every error.  A product is
+folded factor by factor as it is read, so parsing takes time linear in the
+letters read and produced.
 
 Everything parses to normalized values, so `format_x(parse_x(text))` is the
 canonical spelling and round-trips.
@@ -50,8 +53,8 @@ _INTEGER = re.compile("[+-]?[0-9]+")
 
 class _Atom:
     """One atom of a grammar, such as s(i,j,n): literal tokens and integer
-    slots (`int`), compiled into one pattern for the whole atom and the
-    whitespace after it.  `power` adds an optional `^t` suffix."""
+    slots (`int`).  `source` spells the whole atom as a pattern; `power`
+    adds an optional `^t` suffix to it."""
 
     def __init__(self, *tokens, power: bool = False):
         self.head = tokens[0]
@@ -59,19 +62,25 @@ class _Atom:
         integer = "[ \t]*([+-]?[0-9]+)"
         body = "".join(integer if tok is int else "[ \t]*" + re.escape(tok) for tok in tokens[1:])
         suffix = f"(?:[ \t]*\\^{integer})?" if power else ""
-        self.pattern = re.compile(re.escape(self.head) + body + suffix + "[ \t]*")
-        self.slots = tokens.count(int)
-        self.power = power
+        self.source = re.escape(self.head) + body + suffix
+
+
+def _loop(separator: str, closers: str, *atoms: str) -> re.Pattern:
+    """The pattern of one plain factor in a product loop: whitespace, one of
+    the `atoms` sources, whitespace, and then `separator` (the last group)
+    or, left unread, one of `closers`.  Any other follower, such as a second
+    postfix, fails the match: no integer can give up its last digits to make
+    it match, since a digit is neither a separator nor a closer."""
+    return re.compile(f"[ \t]*(?:{'|'.join(atoms)})[ \t]*(?:({re.escape(separator)})|(?={closers}))")
 
 
 class _Scanner:
-    """A cursor over one text.  Whitespace is spaces and tabs, and may
-    stand between any two tokens."""
+    """A cursor over one text, read token by token.  Whitespace is spaces
+    and tabs, and may stand between any two tokens."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self._suffix: tuple[int, str] | None = None  # the `^t` of the last atom
 
     def skip_ws(self) -> None:
         if self.text.startswith((" ", "\t"), self.pos):
@@ -99,55 +108,34 @@ class _Scanner:
         m = _INTEGER.match(self.text, self.pos)
         if m is None:
             raise ExprParseError(self.pos, "an integer", self.text)
-        self.pos = m.end()
-        return self._int(m.start(), m.group())
-
-    def _int(self, start: int, digits: str) -> int:
         try:
-            return int(digits)
+            value = int(m.group())
         except ValueError:  # past the interpreter's digit limit
             limit = sys.get_int_max_str_digits()
-            raise ExprParseError(start, f"an integer of at most {limit} digits", self.text) from None
+            raise ExprParseError(self.pos, f"an integer of at most {limit} digits", self.text) from None
+        self.pos = m.end()
+        return value
 
     def atom(self, atom: _Atom, required: bool = False) -> list[int] | None:
-        """The integers of `atom` if it starts here, by one match of its
-        pattern; None if its head is absent and it is not required.  An
-        atom that starts but breaks off is an ExprParseError where its
-        tokens, taken one by one, first fail."""
+        """The integers of `atom` if it starts here; None if its head is
+        absent and it is not required."""
         self.skip_ws()
-        text, pos = self.text, self.pos
-        if not text.startswith(atom.head, pos):
+        if not self.text.startswith(atom.head, self.pos):
             if required:
-                raise ExprParseError(pos, repr(atom.head), text)
+                raise ExprParseError(self.pos, repr(atom.head), self.text)
             return None
-        m = atom.pattern.match(text, pos)
-        if m is None:
-            for tok in atom.tokens:
-                if tok is int:
-                    self.integer()
-                else:
-                    self.take(tok)
-            raise AssertionError(f"the pattern of {atom.head!r} refuses {text[pos:self.pos]!r}")
-        groups = m.groups()
-        try:
-            values = [int(g) for g in groups[: atom.slots]]
-        except ValueError:  # name the first integer past the digit limit
-            values = [self._int(m.start(k), m.group(k)) for k in range(1, atom.slots + 1)]
-        suffix = groups[atom.slots] if atom.power else None
-        self._suffix = None if suffix is None else (m.start(atom.slots + 1), suffix)
-        self.pos = m.end()
+        self.pos += len(atom.head)
+        values = []
+        for tok in atom.tokens[1:]:
+            if tok is int:
+                values.append(self.integer())
+            else:
+                self.take(tok)
         return values
 
     def power(self, default: int) -> int:
-        """The `^t` suffix of the atom just read, or `default` without one.
-        Read after the atom's own checks, so that those come first."""
-        found, self._suffix = self._suffix, None
-        if found is not None:
-            return self._int(*found)
-        if not self.try_take("^"):
-            return default
-        self.integer()
-        raise AssertionError("the power suffix pattern refuses an integer")
+        """A `^t` suffix here, or `default` without one."""
+        return self.integer() if self.try_take("^") else default
 
     def done(self) -> None:
         self.skip_ws()
@@ -167,6 +155,11 @@ def _check_arc(pair: MatrixPair, i: int, j: int, pos: int, text: str) -> None:
         raise SemanticError(f"({i},{j}) is not a support arc of A (at offset {pos} in {text!r})")
 
 
+def _arc(pair: MatrixPair, i: int, j: int) -> int:
+    """A[i][j] if i and j are vertices of the pair, else 0."""
+    return pair.a[i - 1][j - 1] if 0 < i <= pair.n and 0 < j <= pair.n else 0
+
+
 _SEMIGROUPOID_HEAD = re.compile("[ \t]*[hg][ \t]*\\(")
 
 
@@ -178,24 +171,44 @@ def looks_like_semigroupoid(text: str) -> bool:
 
 _H = _Atom("h(", int, ")", power=True)
 _G = _Atom("g(", int, ",", int, ",", int, ")")
+_SEMIGROUPOID_LOOP = _loop(".", "\\Z", _H.source, _G.source)
 
 
 def parse_semigroupoid(text: str, pair: MatrixPair) -> sgp.SgpElement:
     sc = _Scanner(text)
     atoms: list[sgp.RawAtom] = []
-    while True:
-        pos = sc.pos
-        if (h := sc.atom(_H)) is not None:
-            _check_vertex(pair, h[0], pos, text)
-            atoms.append(sgp.HAtom(h[0], sc.power(1)))
-        elif (g := sc.atom(_G)) is not None:
-            i, j, n = g
-            _check_arc(pair, i, j, pos, text)
-            atoms.append((i, j, n))
-        else:
-            raise ExprParseError(sc.pos, "h(...) or g(...)", text)
-        if not sc.try_take("."):
-            break
+    more = True
+    while more:
+        m = _SEMIGROUPOID_LOOP.match(text, sc.pos)
+        atom = None
+        if m is not None:
+            h, t, i, j, n, more = m.groups()
+            try:
+                if h is not None:
+                    v = int(h)
+                    if 0 < v <= pair.n:
+                        atom = sgp.HAtom(v, 1 if t is None else int(t))
+                else:
+                    i, j = int(i), int(j)
+                    if _arc(pair, i, j):
+                        atom = (i, j, int(n))
+            except ValueError:  # past the digit limit, which the reader names
+                pass
+        if atom is not None:
+            sc.pos = m.end()
+        else:  # read token by token from the same offset
+            pos = sc.pos
+            if (h := sc.atom(_H)) is not None:
+                _check_vertex(pair, h[0], pos, text)
+                atom = sgp.HAtom(h[0], sc.power(1))
+            elif (g := sc.atom(_G)) is not None:
+                i, j, n = g
+                _check_arc(pair, i, j, pos, text)
+                atom = (i, j, n)
+            else:
+                raise ExprParseError(sc.pos, "h(...) or g(...)", text)
+            more = sc.try_take(".")
+        atoms.append(atom)
     sc.done()
     return sgp.standard_form(pair, atoms)
 
@@ -213,6 +226,7 @@ def format_semigroupoid(e: sgp.SgpElement) -> str:
 _S = _Atom("s(", int, ",", int, ",", int, ")")
 _U = _Atom("u(", int, ")", power=True)
 _Q = _Atom("q(", int, ")")
+_ISG_LOOP = _loop(".", "\\)|\\Z", _S.source + "(?:[ \t]*(\\*))?", _U.source, _Q.source)
 
 
 def parse_isg(text: str, pair: MatrixPair) -> ISgElement:
@@ -226,9 +240,36 @@ def parse_isg(text: str, pair: MatrixPair) -> ISgElement:
 
 
 def _parse_isg_product(sc: _Scanner, pair: MatrixPair, text: str, depth: int) -> Factor:
-    product = isg._Product(pair, _parse_isg_factor(sc, pair, text, depth), LETTER_BUDGET)
-    while sc.try_take("."):
-        product.fold(_parse_isg_factor(sc, pair, text, depth))
+    product = None
+    more = True
+    while more:
+        m = _ISG_LOOP.match(text, sc.pos)
+        plain = None  # the factor if the loop pattern reads it; None is not the zero here
+        if m is not None:
+            i, j, n, star, u, t, q, more = m.groups()
+            try:
+                if i is not None:
+                    i, j = int(i), int(j)
+                    if _arc(pair, i, j):
+                        plain = isg._s_factor(pair, i, j, int(n))
+                        if star:
+                            plain = isg._star_factor(plain)
+                else:
+                    v = int(q if u is None else u)
+                    if 0 < v <= pair.n:
+                        plain = isg._unitary_factor(v, 0 if u is None else 1 if t is None else int(t))
+            except ValueError:  # past the digit limit, which the reader names
+                pass
+        if plain is not None:
+            factor = plain
+            sc.pos = m.end()
+        else:  # read token by token from the same offset
+            factor = _parse_isg_factor(sc, pair, text, depth)
+            more = sc.try_take(".")
+        if product is None:
+            product = isg._Product(pair, factor, LETTER_BUDGET)
+        else:
+            product.fold(factor)
     return product.factor()
 
 
@@ -281,13 +322,29 @@ def format_isg(e: ISgElement) -> str:
 # -- path literals -------------------------------------------------------------
 
 _EDGE = _Atom("(", int, ",", int, ",", int, ")")
+_EDGE_LOOP = _loop(",", "\\]", _EDGE.source)
 
 
 def _parse_edge_list(sc: _Scanner, pair: MatrixPair, text: str) -> tuple:
     sc.take("[")
+    if sc.try_take("]"):
+        return ()
     edges = []
-    if not sc.try_take("]"):
-        while True:
+    more = True
+    while more:
+        m = _EDGE_LOOP.match(text, sc.pos)
+        edge = None
+        if m is not None:
+            i, j, n, more = m.groups()
+            try:
+                i, j, n = int(i), int(j), int(n)
+                if 0 < n <= _arc(pair, i, j):
+                    edge = (i, j, n)
+            except ValueError:  # past the digit limit, which the reader names
+                pass
+        if edge is not None:
+            sc.pos = m.end()
+        else:  # read token by token from the same offset
             pos = sc.pos
             i, j, n = sc.atom(_EDGE, required=True)
             _check_arc(pair, i, j, pos, text)
@@ -296,10 +353,10 @@ def _parse_edge_list(sc: _Scanner, pair: MatrixPair, text: str) -> tuple:
                     f"offset {n} out of range 1..{pair.a_at(i, j)} for edge ({i},{j})"
                     f" (at offset {pos} in {text!r})"
                 )
-            edges.append((i, j, n))
-            if not sc.try_take(","):
-                break
-        sc.take("]")
+            edge = (i, j, n)
+            more = sc.try_take(",")
+        edges.append(edge)
+    sc.take("]")
     return tuple(edges)
 
 

@@ -8,13 +8,24 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from fractions import Fraction
+
+import pytest
 
 from katsura.invsemigroup import PathWord, Triple, triple
 from katsura.matrices import MatrixPair
 from katsura.semigroupoid import GWord, HPower
 
 from oracles import simple_vertex_cycles
+
+
+@pytest.fixture
+def digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("the interpreter sets no limit on integer digits")
+    return limit
 
 
 def random_pair(

@@ -323,14 +323,6 @@ class TestMissingFile:
         assert json.loads(err) == {"kind": "structural", "message": "A and B must be arrays of arrays"}
 
 
-@pytest.fixture
-def digit_limit():
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        pytest.skip("the interpreter sets no limit on integer digits")
-    return limit
-
-
 class TestDigitLimit:
     """Integers past the interpreter's limit on decimal digits give the
     one-line JSON error, never a traceback."""

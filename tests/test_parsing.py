@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from katsura.errors import LETTER_BUDGET, DomainError, ExprParseError, KatsuraError, SemanticError, StructuralError
 from katsura.invsemigroup import (
@@ -400,11 +401,14 @@ class TestGroupGrammar:
         assert time.perf_counter() - start < 1.0
 
 
-# For every grammar, a few texts (the last of each grammar with an error),
-# and the outcome of each truncation text[:k]: the formatted value, or the
-# exception's type with, for a parse error, its position and expectation,
-# and otherwise its message.  Recorded from the character-by-character
-# scanner this grammar replaced; the pattern scanner must agree exactly.
+# For every grammar, a few texts (most with an error), and the outcome of
+# each truncation text[:k]: the formatted value, or the exception's type
+# with, for a parse error, its position and expectation, and otherwise its
+# message.  The first texts were recorded from a character-by-character
+# scanner; the texts from 's(1,1,1)**.u(1)^2^3' on, at the edges of the
+# product loops' patterns (a second postfix, whitespace before `.`, `*` and
+# `^`, a bad middle factor), from the reader before those loops.  Every
+# reader since must agree exactly.
 PARSERS = {
     "isg": lambda t: format_isg(parse_isg(t, E1)),
     "semigroupoid": lambda t: format_semigroupoid(parse_semigroupoid(t, E1)),
@@ -773,6 +777,183 @@ PARSE_CONTRACT = [
         ('ExprParseError', 30, "']'"),
         ('ok', None, '[(1,1,1)] ~ [(1,2,1), (2,1,1)]'),
     ]),
+    ('isg', 's(1,1,1)**.u(1)^2^3', [
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "','"),
+        ('ExprParseError', 4, 'an integer'),
+        ('ExprParseError', 5, "','"),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 7, "')'"),
+        ('ok', None, 's(1,1,1)'),
+        ('ok', None, 's(1,1,1)*'),
+        ('ok', None, 's(1,1,1)'),
+        ('ExprParseError', 11, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 11, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 13, 'an integer'),
+        ('ExprParseError', 14, "')'"),
+        ('ok', None, 's(1,1,1).u(1)'),
+        ('ExprParseError', 16, 'an integer'),
+        ('ok', None, 's(1,1,1).u(1)^2'),
+        ('ExprParseError', 18, 'an integer'),
+        ('ok', None, 's(1,1,1).u(1)^6'),
+    ]),
+    ('isg', 'u(1)*.q(1)^5', [
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "')'"),
+        ('ok', None, 'u(1)'),
+        ('ok', None, 'u(1)^-1'),
+        ('ExprParseError', 6, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 6, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 8, 'an integer'),
+        ('ExprParseError', 9, "')'"),
+        ('ok', None, 'u(1)^-1'),
+        ('ExprParseError', 11, 'an integer'),
+        ('ok', None, 'u(1)^-1'),
+    ]),
+    ('isg', 'u(1)^23*.q(1)', [
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "')'"),
+        ('ok', None, 'u(1)'),
+        ('ExprParseError', 5, 'an integer'),
+        ('ok', None, 'u(1)^2'),
+        ('ok', None, 'u(1)^23'),
+        ('ok', None, 'u(1)^-23'),
+        ('ExprParseError', 9, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 9, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 11, 'an integer'),
+        ('ExprParseError', 12, "')'"),
+        ('ok', None, 'u(1)^-23'),
+    ]),
+    ('isg', 's(1,1,1).u(3).q(1)', [
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "','"),
+        ('ExprParseError', 4, 'an integer'),
+        ('ExprParseError', 5, "','"),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 7, "')'"),
+        ('ok', None, 's(1,1,1)'),
+        ('ExprParseError', 9, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 9, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 11, 'an integer'),
+        ('ExprParseError', 12, "')'"),
+        ('SemanticError', None, "vertex 3 out of range 1..2 (at offset 9 in 's(1,1,1).u(3)')"),
+        ('SemanticError', None, "vertex 3 out of range 1..2 (at offset 9 in 's(1,1,1).u(3).')"),
+        ('SemanticError', None, "vertex 3 out of range 1..2 (at offset 9 in 's(1,1,1).u(3).q')"),
+        ('SemanticError', None, "vertex 3 out of range 1..2 (at offset 9 in 's(1,1,1).u(3).q(')"),
+        ('SemanticError', None, "vertex 3 out of range 1..2 (at offset 9 in 's(1,1,1).u(3).q(1')"),
+        ('SemanticError', None, "vertex 3 out of range 1..2 (at offset 9 in 's(1,1,1).u(3).q(1)')"),
+    ]),
+    ('isg', 's(1,2,1) * . u(1) ^ 2\t. q(1)', [
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 0, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "','"),
+        ('ExprParseError', 4, 'an integer'),
+        ('ExprParseError', 5, "','"),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 7, "')'"),
+        ('ok', None, 's(1,2,1)'),
+        ('ok', None, 's(1,2,1)'),
+        ('ok', None, 's(1,2,1)*'),
+        ('ok', None, 's(1,2,1)*'),
+        ('ExprParseError', 12, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 13, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 13, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 15, 'an integer'),
+        ('ExprParseError', 16, "')'"),
+        ('ok', None, 'u(2).s(1,2,1)*'),
+        ('ok', None, 'u(2).s(1,2,1)*'),
+        ('ExprParseError', 19, 'an integer'),
+        ('ExprParseError', 20, 'an integer'),
+        ('ok', None, 'u(2)^2.s(1,2,1)*'),
+        ('ok', None, 'u(2)^2.s(1,2,1)*'),
+        ('ExprParseError', 23, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 24, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 24, 's(...), u(...), q(...), 0 or ('),
+        ('ExprParseError', 26, 'an integer'),
+        ('ExprParseError', 27, "')'"),
+        ('ok', None, 'u(2)^2.s(1,2,1)*'),
+    ]),
+    ('semigroupoid', 'h(1) ^ 2 . g(1,2,1)\t. h(3)', [
+        ('ExprParseError', 0, 'h(...) or g(...)'),
+        ('ExprParseError', 0, 'h(...) or g(...)'),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "')'"),
+        ('ok', None, 'h(1)'),
+        ('ok', None, 'h(1)'),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 7, 'an integer'),
+        ('ok', None, 'h(1)^2'),
+        ('ok', None, 'h(1)^2'),
+        ('ExprParseError', 10, 'h(...) or g(...)'),
+        ('ExprParseError', 11, 'h(...) or g(...)'),
+        ('ExprParseError', 11, 'h(...) or g(...)'),
+        ('ExprParseError', 13, 'an integer'),
+        ('ExprParseError', 14, "','"),
+        ('ExprParseError', 15, 'an integer'),
+        ('ExprParseError', 16, "','"),
+        ('ExprParseError', 17, 'an integer'),
+        ('ExprParseError', 18, "')'"),
+        ('ok', None, 'g(1,2,3)'),
+        ('ok', None, 'g(1,2,3)'),
+        ('ExprParseError', 21, 'h(...) or g(...)'),
+        ('ExprParseError', 22, 'h(...) or g(...)'),
+        ('ExprParseError', 22, 'h(...) or g(...)'),
+        ('ExprParseError', 24, 'an integer'),
+        ('ExprParseError', 25, "')'"),
+        ('SemanticError', None, "vertex 3 out of range 1..2 (at offset 21 in 'h(1) ^ 2 . g(1,2,1)\\t. h(3)')"),
+    ]),
+    ('semigroupoid', 'h(2)^12.g(2,1,1)^3', [
+        ('ExprParseError', 0, 'h(...) or g(...)'),
+        ('ExprParseError', 0, 'h(...) or g(...)'),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "')'"),
+        ('ok', None, 'h(2)'),
+        ('ExprParseError', 5, 'an integer'),
+        ('ok', None, 'h(2)'),
+        ('ok', None, 'h(2)^12'),
+        ('ExprParseError', 8, 'h(...) or g(...)'),
+        ('ExprParseError', 8, 'h(...) or g(...)'),
+        ('ExprParseError', 10, 'an integer'),
+        ('ExprParseError', 11, "','"),
+        ('ExprParseError', 12, 'an integer'),
+        ('ExprParseError', 13, "','"),
+        ('ExprParseError', 14, 'an integer'),
+        ('ExprParseError', 15, "')'"),
+        ('ok', None, 'g(2,1,13)'),
+        ('ExprParseError', 16, 'end of input'),
+        ('ExprParseError', 16, 'end of input'),
+    ]),
+    ('finite path', '[(1,1,1) , (1,2,2)]', [
+        ('ExprParseError', 0, "'['"),
+        ('ExprParseError', 1, "'('"),
+        ('ExprParseError', 2, 'an integer'),
+        ('ExprParseError', 3, "','"),
+        ('ExprParseError', 4, 'an integer'),
+        ('ExprParseError', 5, "','"),
+        ('ExprParseError', 6, 'an integer'),
+        ('ExprParseError', 7, "')'"),
+        ('ExprParseError', 8, "']'"),
+        ('ExprParseError', 9, "']'"),
+        ('ExprParseError', 10, "'('"),
+        ('ExprParseError', 11, "'('"),
+        ('ExprParseError', 12, 'an integer'),
+        ('ExprParseError', 13, "','"),
+        ('ExprParseError', 14, 'an integer'),
+        ('ExprParseError', 15, "','"),
+        ('ExprParseError', 16, 'an integer'),
+        ('ExprParseError', 17, "')'"),
+        ('SemanticError', None, "offset 2 out of range 1..1 for edge (1,2) (at offset 10 in '[(1,1,1) , (1,2,2)')"),
+        ('SemanticError', None, "offset 2 out of range 1..1 for edge (1,2) (at offset 10 in '[(1,1,1) , (1,2,2)]')"),
+    ]),
     ('group', 'Z/0 + 0', [
         ('ExprParseError', 0, 'Z, Z^r, Z/d or 0'),
         ('ok', None, 'Z'),
@@ -789,3 +970,137 @@ PARSE_CONTRACT = [
 @pytest.mark.parametrize("grammar, text, outcomes", PARSE_CONTRACT, ids=[f"{g}:{t!r}" for g, t, _ in PARSE_CONTRACT])
 def test_error_contract_of_every_truncation(grammar, text, outcomes):
     assert [outcome(grammar, text[:k]) for k in range(len(text) + 1)] == outcomes
+
+
+def test_integer_past_the_digit_limit_mid_chain(digit_limit):
+    digits = "7" * (digit_limit + 1)
+    with pytest.raises(ExprParseError) as exc:
+        parse_isg(f"s(1,1,1).u({digits}).q(1)", E1)
+    assert (exc.value.position, exc.value.expected) == (11, f"an integer of at most {digit_limit} digits")
+
+
+# -- metamorphic properties of the product loops --------------------------------
+#
+# A chain is a list of factors, each a list of tokens whose first is the
+# atom's head.  CHAINS gives, per grammar, the chains over E1 (every arc of
+# E1 is on the support), the separator, and what encloses the chain.
+
+METAMORPHIC = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+vertex = st.integers(1, 2).map(str)
+offset = st.integers(-3, 6).map(str)
+power = st.none() | st.integers(-5, 5).map(str)
+
+
+def _postfix(op, value):
+    return [] if value is None else [op, value]
+
+
+isg_factor = st.one_of(
+    st.builds(
+        lambda i, j, n, star: ["s(", i, ",", j, ",", n, ")"] + star, vertex, vertex, offset, st.sampled_from([[], ["*"]])
+    ),
+    st.builds(lambda v, t: ["u(", v, ")"] + _postfix("^", t), vertex, power),
+    st.builds(lambda v: ["q(", v, ")"], vertex),
+)
+
+
+@st.composite
+def walks(draw, *, semigroupoid: bool):
+    """The atoms of a walk through E1: g atoms with h atoms at their ends,
+    or path edges with offsets in range."""
+    vertices = draw(st.lists(st.integers(1, 2), min_size=2, max_size=9))
+    atoms = []
+    for i, j in zip(vertices, vertices[1:]):
+        if not semigroupoid:
+            atoms.append(["(", str(i), ",", str(j), ",", str(draw(st.integers(1, E1.a_at(i, j)))), ")"])
+            continue
+        atoms.append(["g(", str(i), ",", str(j), ",", draw(offset), ")"])
+        if draw(st.booleans()):
+            atoms.append(["h(", str(j), ")"] + _postfix("^", draw(power)))
+    return atoms
+
+
+CHAINS = {
+    "isg": (st.lists(isg_factor, min_size=1, max_size=8), ".", "", ""),
+    "semigroupoid": (walks(semigroupoid=True), ".", "", ""),
+    "finite path": (walks(semigroupoid=False), ",", "[", "]"),
+}
+blank = st.sampled_from(["", "", " ", "\t", " \t "])
+
+
+def chain_text(grammar, factors) -> str:
+    _, separator, open_, close = CHAINS[grammar]
+    return open_ + separator.join("".join(f) for f in factors) + close
+
+
+@METAMORPHIC
+@given(factors=CHAINS["isg"][0], data=st.data())
+def test_parenthesized_factor_keeps_the_value(factors, data):
+    """A plain factor in parentheses, with or without its postfix, is read
+    by the token-by-token reader; the loop pattern reads it bare."""
+    k = data.draw(st.integers(0, len(factors) - 1))
+    f = factors[k]
+    atom = 7 if f[0] == "s(" else 3
+    cut = data.draw(st.sampled_from([atom, len(f)]))
+    depth = data.draw(st.integers(1, 2))
+    wrapped = factors[:k] + [["("] * depth + f[:cut] + [")"] * depth + f[cut:]] + factors[k + 1 :]
+    expected = outcome("isg", chain_text("isg", factors))
+    assert expected[0] == "ok"
+    assert outcome("isg", chain_text("isg", wrapped)) == expected
+
+
+@METAMORPHIC
+@given(grammar=st.sampled_from(sorted(CHAINS)), data=st.data())
+def test_whitespace_between_tokens_keeps_the_value(grammar, data):
+    chain, separator, open_, close = CHAINS[grammar]
+    factors = data.draw(chain)
+    tokens = [open_] + [tok for k, f in enumerate(factors) for tok in ([separator] if k else []) + f] + [close]
+    spaced = data.draw(blank) + "".join(tok + data.draw(blank) for tok in tokens if tok)
+    expected = outcome(grammar, chain_text(grammar, factors))
+    assert expected[0] == "ok"
+    assert outcome(grammar, spaced) == expected
+
+
+@st.composite
+def broken(draw, factor):
+    """A factor with one token after its head deleted or replaced."""
+    k = draw(st.integers(1, len(factor) - 1))
+    return factor[:k] + [draw(st.sampled_from(["", "x", "0", "3", "-1", ".", "*", "^"]))] + factor[k + 1 :]
+
+
+def _at_offset(message: str) -> tuple[str, int]:
+    """A semantic error's message up to the quoted text, and its offset."""
+    head, _, rest = message.partition(" (at offset ")
+    return head, int(rest.split(" ", 1)[0])
+
+
+@METAMORPHIC
+@given(grammar=st.sampled_from(sorted(CHAINS)), data=st.data())
+def test_error_in_a_factor_is_reported_as_for_that_factor_alone(grammar, data):
+    """Errors come left to right: the first broken factor is reported, at
+    its place in the chain, as it is when it stands alone, whatever a later
+    factor holds."""
+    chain, separator, open_, close = CHAINS[grammar]
+    factors = data.draw(chain)
+    k = data.draw(st.integers(0, len(factors) - 1))
+    factors[k] = data.draw(broken(factors[k]))
+    alone = outcome(grammar, open_ + "".join(factors[k]) + close)
+    assume(alone[0] in ("ExprParseError", "SemanticError"))
+    if k + 1 < len(factors) and data.draw(st.booleans()):
+        later = data.draw(st.integers(k + 1, len(factors) - 1))
+        factors[later] = data.draw(broken(factors[later]))
+    text = chain_text(grammar, factors)
+    shift = sum(len("".join(f) + separator) for f in factors[:k])
+    got = outcome(grammar, text)
+    assert got[0] == alone[0]
+    if alone[0] == "ExprParseError":
+        assert got[1:] == (alone[1] + shift, alone[2])
+    else:
+        head, at = _at_offset(alone[2])
+        assert _at_offset(got[2]) == (head, at + shift)
