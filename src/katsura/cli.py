@@ -315,8 +315,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ExprParseError as exc:
         return _fail("parse", str(exc), EXIT_PARSE, position=exc.position, expected=exc.expected)
-    except json.JSONDecodeError as exc:
-        return _fail("parse", str(exc), EXIT_PARSE)
     except UnrealizableWithSquareMatrices as exc:
         return _fail("unrealizable", str(exc), EXIT_SEMANTIC)
     except SemanticError as exc:

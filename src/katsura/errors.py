@@ -33,13 +33,18 @@ class SemanticError(KatsuraError):
     """A syntactically valid expression refers to data outside the loaded pair."""
 
 
+def excerpt(text: str, position: int) -> str:
+    """The window of `text`, 12 characters each side, that an error at `position` quotes."""
+    return text[max(0, position - 12) : position + 12]
+
+
 class ExprParseError(KatsuraError):
     """Syntax error in an element/path/group expression."""
 
     def __init__(self, position: int, expected: str, text: str):
         self.position = position
         self.expected = expected
-        self.excerpt = text[max(0, position - 12) : position + 12]
+        self.excerpt = excerpt(text, position)
         super().__init__(f"at offset {position}: expected {expected} (near {self.excerpt!r})")
 
 

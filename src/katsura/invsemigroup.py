@@ -43,15 +43,6 @@ class PathWord:
                 raise StructuralError("path edges do not chain")
 
 
-def check_path_word(pair: MatrixPair, p: PathWord) -> PathWord:
-    if not 1 <= p.base <= pair.n:
-        raise StructuralError(f"vertex {p.base} out of range")
-    for e in p.edges:
-        if not pair.has_edge(e):
-            raise StructuralError(f"edge {e} is not an edge of the pair's graph")
-    return p
-
-
 def is_prefix(p: PathWord, q: PathWord) -> bool:
     """p a left factor of q, source vertices included."""
     return p.base == q.base and q.edges[: len(p.edges)] == p.edges

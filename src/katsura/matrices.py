@@ -97,14 +97,6 @@ class MatrixPair:
         """The row section of the support at i."""
         return self.sections[i - 1]
 
-    def has_edge(self, edge: Edge) -> bool:
-        i, j, n = edge
-        return (
-            1 <= i <= self.n
-            and 1 <= j <= self.n
-            and 1 <= n <= self.a_at(i, j)
-        )
-
     def b_row_is_zero(self, i: int) -> bool:
         return all(x == 0 for x in self.b[i - 1])
 

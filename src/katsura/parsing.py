@@ -13,7 +13,9 @@ Whitespace is spaces and tabs, allowed between any two tokens.  In the
 product loops of the s/u/q, g/h and path grammars, one pattern match reads
 a plain factor (an atom with at most its one usual postfix) and the
 separator after it; any other factor, or one that fails a check, is read
-token by token from the same offset, which gives every error.  A product is
+token by token from the same offset, which gives every error.  The reader
+checks every vertex, arc and offset of a text against the pair; the
+constructors downstream check only their own invariants.  A product is
 folded factor by factor as it is read, so parsing takes time linear in the
 letters read and produced.
 
@@ -34,12 +36,13 @@ from .errors import (
     ExprParseError,
     SemanticError,
     StructuralError,
+    excerpt,
     format_int,
 )
 from .invsemigroup import Factor, ISgElement, PathWord, Zero
 from .ktheory import AbelianGroup, abelian_group
 from .matrices import MatrixPair
-from .pathspace import EventuallyPeriodicPath, periodic_point
+from .pathspace import EventuallyPeriodicPath, eventually_periodic
 
 
 # Parenthesized groups nest at most this deep; the expression parser
@@ -145,14 +148,14 @@ class _Scanner:
 
 def _check_vertex(pair: MatrixPair, v: int, pos: int, text: str) -> None:
     if not 1 <= v <= pair.n:
-        raise SemanticError(f"vertex {v} out of range 1..{pair.n} (at offset {pos} in {text!r})")
+        raise SemanticError(f"vertex {v} out of range 1..{pair.n} (at offset {pos} in {excerpt(text, pos)!r})")
 
 
 def _check_arc(pair: MatrixPair, i: int, j: int, pos: int, text: str) -> None:
     _check_vertex(pair, i, pos, text)
     _check_vertex(pair, j, pos, text)
     if pair.a_at(i, j) == 0:
-        raise SemanticError(f"({i},{j}) is not a support arc of A (at offset {pos} in {text!r})")
+        raise SemanticError(f"({i},{j}) is not a support arc of A (at offset {pos} in {excerpt(text, pos)!r})")
 
 
 def _arc(pair: MatrixPair, i: int, j: int) -> int:
@@ -351,7 +354,7 @@ def _parse_edge_list(sc: _Scanner, pair: MatrixPair, text: str) -> tuple:
             if not 1 <= n <= pair.a_at(i, j):
                 raise SemanticError(
                     f"offset {n} out of range 1..{pair.a_at(i, j)} for edge ({i},{j})"
-                    f" (at offset {pos} in {text!r})"
+                    f" (at offset {pos} in {excerpt(text, pos)!r})"
                 )
             edge = (i, j, n)
             more = sc.try_take(",")
@@ -370,7 +373,7 @@ def _finish_path(sc: _Scanner, pair: MatrixPair, text: str, edges: tuple) -> Pat
             declared = sc.integer()
             if declared != base:
                 raise SemanticError(f"declared base {declared} contradicts first edge {edges[0]}")
-        return isg.check_path_word(pair, PathWord(base, edges))
+        return PathWord(base, edges)
     if sc.try_take("@"):
         v = sc.integer()
         _check_vertex(pair, v, sc.pos, text)
@@ -397,7 +400,7 @@ def parse_periodic_path(text: str, pair: MatrixPair) -> EventuallyPeriodicPath:
     if not per_edges:
         raise SemanticError("the periodic part must be nonempty")
     per = PathWord(per_edges[0][0], per_edges)
-    return periodic_point(pair, PathWord(per.base) if pre is None else pre, per)
+    return eventually_periodic(PathWord(per.base) if pre is None else pre, per)
 
 
 def is_periodic_literal(text: str) -> bool:

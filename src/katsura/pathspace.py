@@ -17,7 +17,6 @@ from .invsemigroup import (
     ISgElement,
     PathWord,
     Zero,
-    check_path_word,
     is_idempotent,
     is_prefix,
     multiply,
@@ -46,21 +45,12 @@ class EventuallyPeriodicPath:
             edges.extend(self.period.edges)
         return PathWord(self.preperiod.base, tuple(edges[:depth]))
 
-    def phase_vertex(self, depth: int) -> int:
-        """Vertex reached after `depth` letters."""
-        p, q = len(self.preperiod), len(self.period)
-        if depth <= p:
-            return self.unfold(depth).target
-        k = (depth - p) % q
-        return self.period.target if k == 0 else self.period.edges[k - 1][1]
-
 
 def _primitive_root(edges: tuple[Edge, ...]) -> tuple[Edge, ...]:
     q = len(edges)
-    for d in range(1, q + 1):
+    for d in range(1, q + 1):  # a nonempty word matches at d = q at the latest
         if q % d == 0 and edges[:d] * (q // d) == edges:
             return edges[:d]
-    return edges
 
 
 def eventually_periodic(pre: PathWord, per: PathWord) -> EventuallyPeriodicPath:
@@ -79,12 +69,6 @@ def eventually_periodic(pre: PathWord, per: PathWord) -> EventuallyPeriodicPath:
     base = pre.base
     new_pre = PathWord(base, tuple(pre_edges))
     return EventuallyPeriodicPath(new_pre, PathWord(per_edges[0][0], per_edges))
-
-
-def periodic_point(pair: MatrixPair, pre: PathWord, per: PathWord) -> EventuallyPeriodicPath:
-    check_path_word(pair, pre)
-    check_path_word(pair, per)
-    return eventually_periodic(pre, per)
 
 
 @dataclass(frozen=True)
@@ -161,7 +145,7 @@ def image_point(
     assert isinstance(head, ActResult)
     offset = (start - p) % q
     loop = x.period.edges[offset:] + x.period.edges[:offset]
-    vertex = x.phase_vertex(start)
+    vertex = loop[0][0]  # where the point stands after `start` letters
     if all(pair.a_at(i, j) == 1 for i, j, _ in loop):
         return eventually_periodic(head.prefix, PathWord(vertex, loop))
     seen: dict[int, int] = {}

@@ -76,54 +76,41 @@ def target(e: SgpElement) -> int:
     return e.vertex if isinstance(e, HPower) else e.target
 
 
-def _atom_ends(atom: RawAtom) -> tuple[int, int]:
+def _spell(atom: RawAtom) -> str:
+    """An atom as the element grammar spells it."""
     if isinstance(atom, HAtom):
-        return atom.vertex, atom.vertex
-    i, j, _ = atom
-    return i, j
-
-
-def _check_raw(pair: MatrixPair, word: Sequence[RawAtom]) -> None:
-    if not word:
-        raise CompositionError("empty word")
-    for atom in word:
-        if isinstance(atom, HAtom):
-            if not 1 <= atom.vertex <= pair.n:
-                raise CompositionError(f"vertex {atom.vertex} out of range")
-        else:
-            i, j, _ = atom
-            if not (1 <= i <= pair.n and 1 <= j <= pair.n) or pair.a_at(i, j) == 0:
-                raise CompositionError(f"({i},{j}) is not a support arc")
-    for left, right in zip(word, word[1:]):
-        if _atom_ends(left)[1] != _atom_ends(right)[0]:
-            raise CompositionError(
-                f"non-composable adjacency: {left!r} then {right!r}"
-            )
+        return f"h({atom.vertex})" + ("" if atom.exponent == 1 else f"^{format_int(atom.exponent)}")
+    return "g({},{},{})".format(*map(format_int, atom))
 
 
 def standard_form(pair: MatrixPair, word: Sequence[RawAtom]) -> SgpElement:
-    """Normalize a raw word: absorb h-atoms into neighboring g-atoms, then
-    reduce interior offsets left to right.  The result is the unique
-    standard form of the element the word denotes."""
-    _check_raw(pair, word)
-    atoms = list(word)
-    if all(isinstance(a, HAtom) for a in atoms):
-        total = sum(a.exponent for a in atoms)
-        if total < 1:
-            raise DomainError(
-                f"pure h-word at vertex {atoms[0].vertex} has nonpositive exponent sum {format_int(total)}"
-            )
-        return HPower(atoms[0].vertex, total)
-
+    """The unique standard form of the element a raw word denotes, in one
+    pass: each atom is checked against the pair and its left neighbour and
+    absorbed in the same step.  Of several faults, the leftmost is reported."""
+    if not word:
+        raise CompositionError("empty word")
     edges: list[Edge] = []
     pending = 0  # h-exponent waiting to be absorbed into the next g-atom
-    for atom in atoms:
+    end = 0  # the target vertex of the atoms read so far
+    for k, atom in enumerate(word):
         if isinstance(atom, HAtom):
+            i = j = atom.vertex
+            if not 1 <= i <= pair.n:
+                raise CompositionError(f"vertex {i} out of range")
             pending += atom.exponent
         else:
             i, j, n = atom
+            if not (1 <= i <= pair.n and 1 <= j <= pair.n) or pair.a_at(i, j) == 0:
+                raise CompositionError(f"({i},{j}) is not a support arc")
             edges.append((i, j, n + pending * pair.b_at(i, j)))
             pending = 0
+        if k and i != end:
+            raise CompositionError(f"non-composable adjacency: {_spell(word[k - 1])} then {_spell(atom)}")
+        end = j
+    if not edges:
+        if pending < 1:
+            raise DomainError(f"pure h-word at vertex {end} has nonpositive exponent sum {format_int(pending)}")
+        return HPower(end, pending)
     # fold every interior offset into [1, A], carrying into the next letter;
     # a trailing h-run absorbs into the last g through its A-shift
     folded, carry = push_unitary(pair, edges[0][0], 0, tuple(edges[:-1]))

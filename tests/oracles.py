@@ -264,7 +264,8 @@ class Cycle:
 def is_transitory(pair: MatrixPair, cycle: Cycle) -> bool:
     """True iff no exit edge of the cycle starts a path returning to the cycle."""
     for e in cycle.edges:
-        if not pair.has_edge(e):
+        i, j, n = e
+        if not (1 <= i <= pair.n and 1 <= j <= pair.n and 1 <= n <= pair.a_at(i, j)):
             raise StructuralError(f"edge {e} is not an edge of the pair's graph")
     on_cycle = cycle.vertex_set()
     cycle_edges = set(cycle.edges)

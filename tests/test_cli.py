@@ -178,6 +178,26 @@ class TestElementCommands:
         assert code == 1
         assert json.loads(err)["kind"] == "semantic"
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("g(1,2,1).h(1)", "non-composable adjacency: g(1,2,1) then h(1)"),
+            ("h(1)^2.g(2,1,-3)", "non-composable adjacency: h(1)^2 then g(2,1,-3)"),
+        ],
+    )
+    def test_composability_error_spells_atoms(self, capsys, e1_file, expr, message):
+        code, out, err = run(capsys, "normalize", expr, e1_file)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"kind": "domain", "message": message}
+
+    def test_semantic_error_quotes_a_window(self, capsys, e1_file):
+        chain = ".".join(["s(1,1,1)*.u(1)"] * 8000)
+        code, _, err = run(capsys, "normalize", chain + ".s(1,3,1)", e1_file)
+        assert code == 1
+        message = json.loads(err)["message"]
+        assert message.endswith(f" (at offset {len(chain) + 1} in ',1,1)*.u(1).s(1,3,1)')")
+        assert len(err) < 300
+
     def test_parse_error_exit_2(self, capsys, e1_file):
         code, _, err = run(capsys, "normalize", "s(1,", e1_file)
         assert code == 2
@@ -229,6 +249,19 @@ class TestActionCommands:
         code, out, err = run(capsys, "germ-eq", "0", "q(1)", e1_file, "--at", "[] ~ [(1,1,1)]")
         assert code == 1 and out == ""
         assert err == '{"kind": "domain", "message": "zero carries no germ"}\n'
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("[(1,2,1),(1,1,1)]", "path edges do not chain"),
+            ("[(1,2,1)] ~ [(1,1,1)]", "period does not start at the preperiod's range vertex"),
+            ("[]@1 ~ [(1,2,1)]", "period is not a cycle"),
+        ],
+    )
+    def test_path_literal_that_is_no_path(self, capsys, e1_file, path, message):
+        code, out, err = run(capsys, "act", "q(1)", path, e1_file)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"kind": "structural", "message": message}
 
     def test_germ_eq_depth_cap_retired(self, capsys, e1_file):
         # germ-eq is exact and has no cap to set
@@ -344,6 +377,14 @@ class TestDigitLimit:
         nines = "9" * (digit_limit + 700)
         message = self.assert_error(capsys, "parse", 2, "normalize", f"u(1)^{nines}", e1_file)
         assert f"at most {digit_limit} digits" in message
+
+    def test_path_offset_literal(self, capsys, digit_limit, e1_file):
+        nines = "9" * (digit_limit + 1)
+        got, out, err = run(capsys, "act", "q(1)", f"[(1,1,{nines})]", e1_file)
+        assert (got, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["kind"] == "parse"
+        assert (payload["position"], payload["expected"]) == (6, f"an integer of at most {digit_limit} digits")
 
     def test_matrix_file_entry(self, capsys, digit_limit, tmp_path):
         p = tmp_path / "big.json"

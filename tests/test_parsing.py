@@ -909,7 +909,7 @@ PARSE_CONTRACT = [
         ('ExprParseError', 22, 'h(...) or g(...)'),
         ('ExprParseError', 24, 'an integer'),
         ('ExprParseError', 25, "')'"),
-        ('SemanticError', None, "vertex 3 out of range 1..2 (at offset 21 in 'h(1) ^ 2 . g(1,2,1)\\t. h(3)')"),
+        ('SemanticError', None, "vertex 3 out of range 1..2 (at offset 21 in '. g(1,2,1)\\t. h(3)')"),
     ]),
     ('semigroupoid', 'h(2)^12.g(2,1,1)^3', [
         ('ExprParseError', 0, 'h(...) or g(...)'),

@@ -25,7 +25,6 @@ from katsura.pathspace import (
     generate_fixed_point,
     germ_equal,
     image_point,
-    periodic_point,
 )
 
 from conftest import random_backward_walk, random_isg, random_pair, random_path_word, random_walk
@@ -43,19 +42,19 @@ D2 = MatrixPair.from_rows([[2]], [[1]])
 
 
 def loop_point(pair, vertex=1, offset=1):
-    return periodic_point(pair, PathWord(vertex), PathWord(vertex, ((vertex, vertex, offset),)))
+    return eventually_periodic(PathWord(vertex), PathWord(vertex, ((vertex, vertex, offset),)))
 
 
 class TestCanonicalForm:
     def test_primitive_period(self):
-        doubled = periodic_point(D2, PathWord(1), PathWord(1, ((1, 1, 1), (1, 1, 1))))
+        doubled = eventually_periodic(PathWord(1), PathWord(1, ((1, 1, 1), (1, 1, 1))))
         assert doubled == loop_point(D2)
 
     def test_rotation_absorbed(self):
-        x = periodic_point(
-            E1, PathWord(1, ((1, 1, 2),)), PathWord(1, ((1, 1, 1), (1, 1, 2)))
+        x = eventually_periodic(
+            PathWord(1, ((1, 1, 2),)), PathWord(1, ((1, 1, 1), (1, 1, 2)))
         )
-        y = periodic_point(E1, PathWord(1), PathWord(1, ((1, 1, 2), (1, 1, 1))))
+        y = eventually_periodic(PathWord(1), PathWord(1, ((1, 1, 2), (1, 1, 1))))
         assert x == y
 
     def test_equality_matches_unfolding(self):
@@ -240,7 +239,7 @@ class TestIntegralityTrace:
 
     def test_b_multiple_of_a_fixed(self):
         pair = MatrixPair.from_rows([[2, 1], [1, 2]], [[4, 2], [2, 4]])
-        x = periodic_point(pair, PathWord(1), PathWord(1, ((1, 2, 1), (2, 1, 1))))
+        x = eventually_periodic(PathWord(1), PathWord(1, ((1, 2, 1), (2, 1, 1))))
         assert image_point(pair, unitary(pair, 1), x) == x
 
     def test_agrees_with_sampled_trace(self):
@@ -342,7 +341,7 @@ class TestGermEquality:
     def test_eventual_equality_found(self):
         # u(1) and q(1) agree after cutting to a cylinder through the B=0 arc
         pair = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 0], [0, 1]])
-        x = periodic_point(pair, PathWord(1, ((1, 2, 1),)), PathWord(2, ((2, 2, 2),)))
+        x = eventually_periodic(PathWord(1, ((1, 2, 1),)), PathWord(2, ((2, 2, 2),)))
         # after the (1,2) edge with B=0, the pushed exponent dies
         assert germ_equal(pair, unitary(pair, 1, 2), projection_q(pair, 1), x) == "equal"
 
@@ -350,8 +349,7 @@ class TestGermEquality:
         # the exponent-killing B=0 arc sits inside the period, so the first
         # agreement shows up only after entering the periodic part
         pair = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 0], [0, 1]])
-        x = periodic_point(
-            pair,
+        x = eventually_periodic(
             PathWord(1, ((1, 1, 1), (1, 1, 2))),
             PathWord(1, ((1, 2, 1), (2, 1, 1))),
         )
@@ -361,8 +359,7 @@ class TestGermEquality:
         # a scan capped below the equality depth leaves the comparison open;
         # the one-depth comparison settles it
         pair = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 0], [0, 1]])
-        x = periodic_point(
-            pair,
+        x = eventually_periodic(
             PathWord(1, ((1, 1, 1), (1, 1, 2))),
             PathWord(1, ((1, 2, 1), (2, 1, 1))),
         )
@@ -374,8 +371,8 @@ class TestGermEquality:
         # u(1)^(2^40) halves its residual along each (1,1,1) and loses it on
         # the B=0 arc (1,2,1): the germs first agree at depth 41
         pair = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 0], [0, 1]])
-        x = periodic_point(
-            pair, PathWord(1, ((1, 1, 1),) * 40 + ((1, 2, 1),)), PathWord(2, ((2, 2, 2),))
+        x = eventually_periodic(
+            PathWord(1, ((1, 1, 1),) * 40 + ((1, 2, 1),)), PathWord(2, ((2, 2, 2),))
         )
         s, t = unitary(pair, 1, 2**40), projection_q(pair, 1)
         assert capped_germ_equal(pair, s, t, x, depth_cap=40) == "unknown"
@@ -438,7 +435,7 @@ class TestImagePoint:
     def test_unitary_image(self):
         x = loop_point(D2)
         img = image_point(D2, unitary(D2, 1), x)
-        assert img == periodic_point(D2, PathWord(1, ((1, 1, 2),)), PathWord(1, ((1, 1, 1),)))
+        assert img == eventually_periodic(PathWord(1, ((1, 1, 2),)), PathWord(1, ((1, 1, 1),)))
 
     def test_outside_domain(self):
         assert image_point(E1, projection_q(E1, 2), loop_point(E1, 1)) == ACT_ZERO

@@ -36,6 +36,12 @@ class TestStandardForm:
         with pytest.raises(CompositionError):
             standard_form(E1, [(1, 2, 1), (1, 2, 1)])
 
+    def test_leftmost_fault_is_reported(self):
+        with pytest.raises(CompositionError, match=r"^non-composable adjacency: g\(1,2,1\) then h\(1\)\^-2$"):
+            standard_form(E1, [(1, 2, 1), HAtom(1, -2), HAtom(5)])
+        with pytest.raises(CompositionError, match=r"^vertex 5 out of range$"):
+            standard_form(E1, [HAtom(5), (1, 2, 1), HAtom(1)])
+
     def test_trailing_h_absorbs_by_a(self):
         # g(1,2,1).h(2)^2 shifts the final offset by 2*A[1][2]
         assert standard_form(E1, [(1, 2, 1), HAtom(2, 2)]) == GWord(((1, 2, 3),))
