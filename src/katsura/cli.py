@@ -18,6 +18,7 @@ from .decisions import AnalysisReport, Verdict, analyze
 from .errors import (
     LETTER_BUDGET,
     CertificationError,
+    DomainError,
     ExprParseError,
     KatsuraError,
     SemanticError,
@@ -196,6 +197,8 @@ def _cmd_act(args) -> int:
         print("need-longer-prefix")
     else:
         assert isinstance(outcome, ActResult)
+        if len(outcome.prefix) > LETTER_BUDGET:
+            raise DomainError(f"the path would hold more than {LETTER_BUDGET} letters, the letter budget")
         residual = format_int(outcome.residual)
         print(f"{parsing.format_finite_path(outcome.prefix)} residual {residual}")
     return EXIT_OK

@@ -1,9 +1,28 @@
 """Top-level structure verdicts for a pair (A, B).
 
-Verdicts are tri-state because some of the underlying criteria are only
-sufficient conditions or need condition (E).  A Yes or No always cites the
-rule that produced it; Unknown names the one-sided criterion that stayed
-undecided.
+Each verdict is the theorem it rests on, read off the graph facts and the
+fixed-point escape.  A Yes or No cites its rule; Unknown comes only from a
+missing condition (E), which the simplicity, essential principality and
+Hausdorffness criteria assume.  A has no zero row, so every path runs
+into a cyclic strongly connected component (one with an internal arc).
+
+- Minimal iff exactly one component is cyclic.  Open invariant sets
+  match hereditary saturated vertex sets H: U gives {v : Z(v) in U}, and
+  H gives the paths that enter H.  With one cyclic component C, a
+  nonempty hereditary H holds C, and saturation adds every other vertex,
+  whose arcs all lead towards C.  With a second one, C', the vertices
+  that cannot reach C' form a proper nonempty hereditary saturated set.
+- Locally contracting iff condition (L).  If L holds, an open set holds a
+  cylinder Z(mu), and mu extends to some mu nu ending on a cycle c with
+  an exit.  The bisection of s_{mu nu c} s_{mu nu}* maps the clopen
+  Z(mu nu) onto Z(mu nu c), a proper subset because of the exit; only
+  s-words are used, so B plays no part.  If L fails, each vertex of an
+  exit-free cycle emits one edge, so its cylinder is a single point, and
+  no bisection maps a singleton properly into itself.
+- Under condition (E) the groupoid is Hausdorff and amenable, so the
+  algebra is simple iff the action is minimal and topologically free
+  (Brown-Clark-Farthing-Sims 2014), and a simple algebra with a locally
+  contracting groupoid is purely infinite (Anantharaman-Delaroche 1997).
 """
 
 from __future__ import annotations
@@ -153,75 +172,25 @@ _FIXED_POINT_READING = Reason(
 )
 
 
-def _simplicity(facts: matrices.GraphFacts, escape: Verdict | None) -> Verdict:
-    """Under condition (E), simplicity is equivalent to irreducibility, every
-    cycle having an exit and the fixed-point escape condition.  Without (E)
-    the characterization is unavailable."""
+def _simplicity(facts: matrices.GraphFacts, minimal: Verdict, top_free: Verdict) -> Verdict:
+    """Under condition (E), simple iff minimal and topologically free; each
+    No cites the first verdict that fails.  Without (E) the
+    characterization is unavailable."""
     if not facts.condition_e:
-        return Verdict(
-            "unknown",
-            (
-                Reason(
-                    "requires-condition-E",
-                    "the simplicity characterization assumes B nonzero on the support",
-                ),
-                _FIXED_POINT_READING,
-            ),
-        )
-    if not facts.irreducible:
-        return Verdict(
-            "no", (Reason("not-irreducible", "the action is not minimal"), _FIXED_POINT_READING)
-        )
-    if not facts.condition_l:
-        return Verdict(
-            "no",
-            (Reason("condition-L-fails", "an exit-free cycle obstructs freeness"), _FIXED_POINT_READING),
-        )
-    if escape.is_no:
-        return Verdict("no", escape.reasons + (_FIXED_POINT_READING,))
-    return Verdict(
-        "yes",
-        (
-            Reason("irreducible", "minimal"),
-            Reason("condition-L", "every cycle has an exit"),
-            Reason("condition-E", "B nonzero on the support"),
-        )
-        + escape.reasons
-        + (_FIXED_POINT_READING,),
-    )
-
-
-def _locally_contracting(facts: matrices.GraphFacts) -> Verdict:
-    """Sufficient only: every finite path enlarges to a cycle and every cycle
-    has an exit."""
-    extends, cond_l = facts.paths_extend, facts.condition_l
-    if extends and cond_l:
-        return Verdict(
-            "yes",
-            (
-                Reason("paths-extend", "every finite path closes into a cycle"),
-                Reason("condition-L", "every cycle has an exit"),
-            ),
-        )
-    tags = []
-    if not extends:
-        tags.append(Reason("paths-do-not-extend", "some path cannot return to its source"))
-    if not cond_l:
-        tags.append(Reason("condition-L-fails", "an exit-free cycle exists"))
-    tags.append(Reason("sufficiency-only", "the criterion is sufficient, not necessary"))
-    return Verdict("unknown", tuple(tags))
+        requires_e = Reason("requires-condition-E", "the simplicity characterization assumes B nonzero on the support")
+        return Verdict("unknown", (requires_e, _FIXED_POINT_READING))
+    for v in (minimal, top_free):
+        if v.is_no:
+            return Verdict("no", v.reasons + (_FIXED_POINT_READING,))
+    return Verdict("yes", minimal.reasons + top_free.reasons + (_FIXED_POINT_READING,))
 
 
 def _pure_infiniteness(simple: Verdict) -> Verdict:
     if simple.is_yes:
-        return Verdict(
-            "yes",
-            simple.reasons + (Reason("locally-contracting", "irreducibility extends paths to exited cycles"),),
-        )
+        contracting = Reason("locally-contracting", "condition L makes the groupoid locally contracting")
+        return Verdict("yes", simple.reasons + (contracting,))
     if simple.is_no:
-        return Verdict(
-            "no", (Reason("not-simple", "a non-simple algebra is not purely infinite simple"),)
-        )
+        return _no("not-simple", "a non-simple algebra is not purely infinite simple")
     return Verdict("unknown", simple.reasons)
 
 
@@ -264,18 +233,23 @@ def _check_consistency(report: AnalysisReport) -> None:
 def analyze(pair: MatrixPair) -> AnalysisReport:
     """Full report on the pair, the one source of its verdicts.  Each graph
     fact comes from one pass; the escape verdict is computed only under
-    conditions (E) and (L), the only place a verdict reads it.  Minimality
-    is exact: the action is minimal iff A is irreducible."""
+    conditions (E) and (L), the only place a verdict reads it."""
     facts = matrices.graph_facts(pair)
     escape = fixed_point_escape(pair) if facts.condition_e and facts.condition_l else None
     minimal = _bool_verdict(
-        facts.irreducible,
-        "irreducible",
-        "the support digraph is strongly connected",
-        "the support digraph is not strongly connected",
+        facts.cyclic_components == 1,
+        "one-cyclic-component",
+        "exactly one strongly connected component carries a cycle",
+        f"{facts.cyclic_components} strongly connected components carry cycles",
+    )
+    condition_l = _bool_verdict(
+        facts.condition_l,
+        "condition-L",
+        "every cycle of the edge graph has an exit",
+        "some cycle of the edge graph is exit-free",
     )
     top_free = _freeness(facts, escape)
-    simple = _simplicity(facts, escape)
+    simple = _simplicity(facts, minimal, top_free)
     if facts.condition_e:
         ess_principal = top_free
         hausdorff = _yes("condition-E", "all elements epic, so germs separate")
@@ -301,13 +275,13 @@ def analyze(pair: MatrixPair) -> AnalysisReport:
             "B is nonzero on every support arc",
             "B vanishes on some support arc",
         ),
-        irreducible=minimal,
-        condition_l=_bool_verdict(
-            facts.condition_l,
-            "condition-L",
-            "every cycle of the edge graph has an exit",
-            "some cycle of the edge graph is exit-free",
+        irreducible=_bool_verdict(
+            facts.irreducible,
+            "irreducible",
+            "the support digraph is strongly connected",
+            "the support digraph is not strongly connected",
         ),
+        condition_l=condition_l,
         condition_k=_bool_verdict(
             facts.condition_k,
             "condition-K",
@@ -319,7 +293,7 @@ def analyze(pair: MatrixPair) -> AnalysisReport:
         essentially_principal=ess_principal,
         hausdorff=hausdorff,
         simple=simple,
-        locally_contracting=_locally_contracting(facts),
+        locally_contracting=condition_l,
         purely_infinite_simple=_pure_infiniteness(simple),
         nuclear=_yes("always", "the algebra is nuclear for every admissible pair"),
         etale=_yes("always", "the germ groupoid is etale with second countable unit space"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, StructuralError
+from .errors import LETTER_BUDGET, DomainError, StructuralError
 from .matrices import Edge, MatrixPair
 
 
@@ -154,13 +154,12 @@ class _Product:
     Exponents at a vertex whose B-row is zero are dropped at the end: every
     push out of such a vertex carries nothing.
 
-    With a `budget`, a fold past that many letters is a DomainError."""
+    A fold past the letter budget is a DomainError."""
 
-    __slots__ = ("pair", "budget", "zero", "base", "left", "t", "vertex", "stack", "pending")
+    __slots__ = ("pair", "zero", "base", "left", "t", "vertex", "stack", "pending")
 
-    def __init__(self, pair: MatrixPair, f: Factor, budget: int | None = None):
+    def __init__(self, pair: MatrixPair, f: Factor):
         self.pair = pair
-        self.budget = budget
         self.zero = f is None
         if f is not None:
             k_base, k, self.t, _, j = f
@@ -215,8 +214,8 @@ class _Product:
         if j:
             stack.extend(reversed(j))
             self.pending.extend([0] * len(j))
-        if self.budget is not None and len(self.left) + len(stack) > self.budget:
-            raise DomainError(f"the element would hold more than {self.budget} letters, the letter budget")
+        if len(self.left) + len(stack) > LETTER_BUDGET:
+            raise DomainError(f"the element would hold more than {LETTER_BUDGET} letters, the letter budget")
 
     def factor(self) -> Factor:
         """The product so far, J emptied into a reduced word."""
@@ -228,7 +227,7 @@ class _Product:
         return (self.base, self.left, self.t, j_base, j)
 
 
-def _power(pair: MatrixPair, f: Factor, k: int, budget: int | None = None) -> Factor:
+def _power(pair: MatrixPair, f: Factor, k: int) -> Factor:
     """f^k by repeated squaring over the bits of |k|, most significant
     first; f^0 is its source projection and a negative power is a power of
     the adjoint.  A power past the budget is refused at the first square
@@ -241,7 +240,7 @@ def _power(pair: MatrixPair, f: Factor, k: int, budget: int | None = None) -> Fa
     base = f if k > 0 else _star_factor(f)
     out = base
     for bit in bin(abs(k))[3:]:
-        product = _Product(pair, out, budget)
+        product = _Product(pair, out)
         product.fold(out)
         if bit == "1":
             product.fold(base)
@@ -250,7 +249,8 @@ def _power(pair: MatrixPair, f: Factor, k: int, budget: int | None = None) -> Fa
 
 
 def multiply(pair: MatrixPair, x: ISgElement, y: ISgElement) -> ISgElement:
-    """Product in normal form; zero-absorbing and total."""
+    """Product in normal form; zero-absorbing, and a DomainError past the
+    letter budget."""
     product = _Product(pair, _factor(x))
     product.fold(_factor(y))
     return _element(pair, product.factor())

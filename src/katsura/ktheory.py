@@ -6,7 +6,7 @@ entries of any diagonal matrix D = UMV with U and V unimodular: it is
 Z^(m - rank) plus the sum of the Z/d.  So `k_groups` reads it off
 `diagonal_form`, an elimination that keeps neither U nor V and does not
 make the diagonal a divisor chain; `abelian_group` then normalizes the
-cyclic orders.  The elimination runs on sparse rows while the active
+cyclic orders by gcd and lcm.  The elimination runs on sparse rows while the active
 block is sparse, and finishes on dense lists once it has filled in, as
 Dumas, Saunders and Villard (2001) do for sparse Smith forms.
 `smith_normal_form` keeps both witnesses and the divisor chain; no
@@ -192,28 +192,27 @@ def _valuation(x: int, q: int) -> int:
 def abelian_group(free_rank: int, cyclic_orders: list[int]) -> AbelianGroup:
     """Normalize a direct sum of cyclic summands into invariant factor form.
 
-    The exponents are grouped per element of a coprime basis of the orders
-    rather than per prime: each prime divides exactly one basis element q,
-    and its exponent in every order is v_q of the order times its exponent
-    in q, so both groupings give the same invariant factors.
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), so each order is inserted into
+    the divisor chain from the top: the factor becomes its lcm with the
+    order, and their gcd moves down to the next factor, until it divides
+    the smallest factor (then it divides every factor left, which keeps
+    its value) or passes the bottom.  The chain stays a chain: each new
+    factor divides the old one above it.  Nothing is factored.
     """
     for d in cyclic_orders:
         if d < 1:
             raise StructuralError(f"cyclic order {d} must be positive")
-    by_element = {
-        q: sorted((e for e in (_valuation(d, q) for d in cyclic_orders) if e), reverse=True)
-        for q in _coprime_basis(cyclic_orders)
-    }
-    width = max((len(v) for v in by_element.values()), default=0)
-    factors = []
-    for k in range(width):
-        f = 1
-        for q, exps in by_element.items():
-            if k < len(exps):
-                f *= q ** exps[k]
-        factors.append(f)
-    chain = tuple(sorted(f for f in factors if f > 1))
-    return AbelianGroup(free_rank, chain)
+    chain: list[int] = []  # the invariant factors, largest first
+    for c in cyclic_orders:
+        for k, d in enumerate(chain):
+            if chain[-1] % c == 0:  # c divides every factor from here down, so none moves
+                break
+            g = gcd(c, d)
+            chain[k] = d // g * c
+            c = g
+        if c > 1:
+            chain.append(c)
+    return AbelianGroup(free_rank, tuple(reversed(chain)))
 
 
 def _subtract_row(live: dict, cols: dict, i: int, r: int, q: int) -> None:

@@ -158,21 +158,22 @@ class GraphFacts:
     condition_l: bool  # every cycle of the edge graph has an exit
     condition_k: bool  # every vertex on a cycle is the base of two distinct cycles
     irreducible: bool  # a positive-length path joins every ordered pair of vertices
-    paths_extend: bool  # whenever j is reachable from i, i is reachable from j
+    cyclic_components: int  # strongly connected components with an internal arc
 
 
 def graph_facts(pair: MatrixPair) -> GraphFacts:
     """Compute the graph conditions of the pair together.
 
-    Call a component bare when it has internal arcs and every member has
-    exactly one out-arc inside it, carrying A-entry 1.  A vertex on a cycle
-    bases exactly one first-return path iff its component is bare, so
-    condition K fails exactly on a bare component.  An exit-free cycle is a
-    cycle whose vertices each emit one edge; nothing leaves it, so it is a
-    whole component, and condition L fails exactly on a bare component with
-    no arc leaving it.  Irreducibility is a single component (a valid pair
-    has no zero row, so it has a cycle through every vertex), and paths
-    extend to cycles iff no support arc leaves its component.
+    A component is cyclic when it has an internal arc; every other
+    component is one vertex on no cycle.  Call a cyclic component bare when
+    every member has exactly one out-arc inside it, carrying A-entry 1.  A
+    vertex on a cycle bases exactly one first-return path iff its component
+    is bare, so condition K fails exactly on a bare component.  An
+    exit-free cycle is a cycle whose vertices each emit one edge; nothing
+    leaves it, so it is a whole component, and condition L fails exactly on
+    a bare component with no arc leaving it.  Irreducibility is a single
+    component (a valid pair has no zero row, so it has a cycle through
+    every vertex).
     """
     succ = pair.sections
     components = strongly_connected_components(pair)
@@ -181,11 +182,13 @@ def graph_facts(pair: MatrixPair) -> GraphFacts:
         for v in members:
             component[v] = c
     condition_l = condition_k = True
+    cyclic = 0
     for c, members in enumerate(components):
         inner = [[j for j in succ[v - 1] if component[j] == c] for v in members]
-        if any(inner) and all(
-            len(js) == 1 and pair.a[v - 1][js[0] - 1] == 1 for v, js in zip(members, inner)
-        ):
+        if not any(inner):
+            continue
+        cyclic += 1
+        if all(len(js) == 1 and pair.a[v - 1][js[0] - 1] == 1 for v, js in zip(members, inner)):
             condition_k = False
             if all(len(succ[v - 1]) == 1 for v in members):
                 condition_l = False
@@ -194,7 +197,5 @@ def graph_facts(pair: MatrixPair) -> GraphFacts:
         condition_l=condition_l,
         condition_k=condition_k,
         irreducible=len(components) == 1,
-        paths_extend=all(
-            component[i] == component[j] for i, js in enumerate(succ, 1) for j in js
-        ),
+        cyclic_components=cyclic,
     )

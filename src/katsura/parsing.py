@@ -32,7 +32,6 @@ import sys
 from . import invsemigroup as isg
 from . import semigroupoid as sgp
 from .errors import (
-    LETTER_BUDGET,
     ExprParseError,
     SemanticError,
     StructuralError,
@@ -270,7 +269,7 @@ def _parse_isg_product(sc: _Scanner, pair: MatrixPair, text: str, depth: int) ->
             factor = _parse_isg_factor(sc, pair, text, depth)
             more = sc.try_take(".")
         if product is None:
-            product = isg._Product(pair, factor, LETTER_BUDGET)
+            product = isg._Product(pair, factor)
         else:
             product.fold(factor)
     return product.factor()
@@ -304,7 +303,7 @@ def _parse_isg_factor(sc: _Scanner, pair: MatrixPair, text: str, depth: int) -> 
             factor = isg._star_factor(factor)
         elif c == "^":
             sc.pos += 1
-            factor = isg._power(pair, factor, sc.integer(), LETTER_BUDGET)
+            factor = isg._power(pair, factor, sc.integer())
         else:
             return factor
 

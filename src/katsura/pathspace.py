@@ -13,16 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DepthCapExceeded, DomainError, StructuralError
-from .invsemigroup import (
-    ISgElement,
-    PathWord,
-    Zero,
-    is_idempotent,
-    is_prefix,
-    multiply,
-    push_unitary,
-    triple,
-)
+from .invsemigroup import ISgElement, PathWord, Zero, is_idempotent, is_prefix, push_unitary
 from .matrices import Edge, MatrixPair
 
 
@@ -217,12 +208,16 @@ def germ_equal(
       n - 1 + r B_ij = m - 1 + k A_ij and 1 <= m <= A_ij.  When B_ij != 0,
       (m, k) recovers r, so the products still differ.  Across a B = 0 arc
       both residuals become 0 and the letter stays, so the products agree.
-      (`triple` drops the residual one letter early, at a vertex whose
-      B-row is zero.)
+      (The normal form drops the residual one letter early, at a vertex
+      whose B-row is zero.)
     - So the products agree by depth d0, or by one letter past the first
       B = 0 arc of x at index d0 or later, or never.  Letters from index
       max(d0, |preperiod|) on repeat the period, so that arc, if it
       exists, sits at an index below D.
+
+    The products are not answers, so they are not built: `act_on_prefix`
+    on the cylinder gives each l and r, the residual read as 0 at a vertex
+    whose B-row is zero, as the normal form reads it.
     """
     for elem in (s, t):
         if isinstance(elem, Zero):
@@ -231,6 +226,9 @@ def germ_equal(
             raise DomainError("point lies outside the element's domain")
     depth = max(len(x.preperiod), len(s.right), len(t.right)) + len(x.period)
     cylinder = x.unfold(depth)
-    e = triple(pair, cylinder, 0, cylinder)
-    return "equal" if multiply(pair, s, e) == multiply(pair, t, e) else "not-equal"
+    germs = []
+    for elem in (s, t):
+        image = act_on_prefix(pair, elem, cylinder)
+        germs.append((image.prefix, 0 if pair.b_row_is_zero(image.prefix.target) else image.residual))
+    return "equal" if germs[0] == germs[1] else "not-equal"
 

@@ -120,18 +120,27 @@ def standard_form(pair: MatrixPair, word: Sequence[RawAtom]) -> SgpElement:
 
 def compose(pair: MatrixPair, f: SgpElement, gel: SgpElement) -> SgpElement | None:
     """Partial composition; None when the pair is not composable.  The
-    semigroupoid has no zero, so undefined is distinct from any element."""
+    semigroupoid has no zero, so undefined is distinct from any element.
+
+    Both operands are in standard form, so only the junction moves: f's
+    free final offset folds into range, and its carry (or f's h-exponent)
+    crosses gel's interior with one `push_unitary`."""
     if target(f) != source(gel):
         return None
-    if isinstance(f, HPower) and isinstance(gel, HPower):
-        return HPower(f.vertex, f.exponent + gel.exponent)
-    word: list[RawAtom] = []
-    for e in (f, gel):
-        if isinstance(e, HPower):
-            word.append(HAtom(e.vertex, e.exponent))
-        else:
-            word.extend(e.edges)
-    return standard_form(pair, word)
+    if isinstance(gel, HPower):
+        if isinstance(f, HPower):
+            return HPower(f.vertex, f.exponent + gel.exponent)
+        i, j, n = f.edges[-1]
+        return GWord(f.edges[:-1] + ((i, j, n + gel.exponent * pair.a_at(i, j)),))
+    if isinstance(f, HPower):
+        head, carry = (), f.exponent
+    else:
+        i, j, n = f.edges[-1]
+        carry, m = divmod(n - 1, pair.a_at(i, j))
+        head = f.edges[:-1] + ((i, j, m + 1),)
+    body, carry = push_unitary(pair, gel.source, carry, gel.edges[:-1])
+    i, j, n = gel.edges[-1]
+    return GWord(head + body + ((i, j, n + carry * pair.b_at(i, j)),))
 
 
 def intersects(pair: MatrixPair, f: SgpElement, gel: SgpElement) -> bool:

@@ -3,10 +3,12 @@
 Nothing here runs in a command or a verdict.  Each function answers, by a
 second and usually slower route, a question the library decides another
 way: cycle enumeration for the graph conditions, the classical sufficient
-conditions for simplicity, a plain matrix product for Smith witnesses, the
-Smith diagonal and a rank and determinant modulo a prime for the
-witness-free diagonal form, the integrality trace K_j = l . prod B/A term
-by term, a capped search of the trace's state graph for cylinders of fixed
+conditions for simplicity, a brute force over vertex subsets for
+minimality, path counts in powers of A for local contractiveness, a
+transient vertex added upstream for the verdicts that must not see it,
+a plain matrix product for Smith witnesses, the Smith diagonal and a
+rank and determinant modulo a prime for the witness-free diagonal form,
+the integrality trace K_j = l . prod B/A term by term, a capped search of the trace's state graph for cylinders of fixed
 points, the oracle of `fixed_point_escape`, and the product of two partial
 isometries taken whole, the oracle of the factor-by-factor fold behind
 `multiply` and `parse_isg`.  A scan of cylinder depths up to a cap is the
@@ -277,6 +279,73 @@ def is_transitory(pair: MatrixPair, cycle: Cycle) -> bool:
                 if w in on_cycle or _reachable_from(pair, w) & on_cycle:
                     return False
     return True
+
+
+def has_proper_hereditary_saturated_set(pair: MatrixPair) -> bool:
+    """Brute force over all vertex subsets: is there a nonempty proper H
+    that is hereditary (every arc out of H stays in H) and saturated (a
+    vertex whose arcs all enter H lies in H)?  The action is minimal iff
+    there is none."""
+    n = pair.n
+    succ = [[j for j in range(n) if pair.a[i][j]] for i in range(n)]
+    for mask in range(1, (1 << n) - 1):
+        inside = [mask >> v & 1 for v in range(n)]
+        hereditary = all(inside[w] for v in range(n) if inside[v] for w in succ[v])
+        saturated = all(inside[v] for v in range(n) if all(inside[w] for w in succ[v]))
+        if hereditary and saturated:
+            return True
+    return False
+
+
+def _matrix_powers(a: Matrix, top: int) -> list[Matrix]:
+    """A^0, A^1, ..., A^top: entry (u, v) of A^k counts the paths of length
+    k from u to v."""
+    n = len(a)
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for _ in range(top):
+        powers.append(mat_mul(powers[-1], a))
+    return powers
+
+
+def contraction_by_path_counts(pair: MatrixPair) -> bool | None:
+    """Local contractiveness from path counts alone, sharing no code with
+    `graph_facts`.
+
+    False when some vertex starts exactly one path of length 2N: every
+    vertex on it emits one edge, so it closes into an exit-free cycle whose
+    points are isolated.  True when every vertex reaches a vertex u on a
+    closed walk c of some length l <= N with at least two paths of length l
+    from u: then Z(u) holds Z(c) properly, and s_c maps Z(u) onto it, so
+    every cylinder holds one that a bisection maps properly into itself.
+    None when neither holds, which the theory rules out."""
+    n = pair.n
+    powers = _matrix_powers([list(row) for row in pair.a], 2 * n)
+    if any(sum(row) == 1 for row in powers[2 * n]):
+        return False
+    contracting = [
+        u for u in range(n) if any(powers[k][u][u] and sum(powers[k][u]) >= 2 for k in range(1, n + 1))
+    ]
+    if all(any(powers[k][v][u] for k in range(n) for u in contracting) for v in range(n)):
+        return True
+    return None
+
+
+def add_transient_vertex(rng, pair: MatrixPair) -> MatrixPair:
+    """The pair with one more vertex, at a random position, that has arcs
+    into the old vertices and none coming in.  B is nonzero on the new
+    arcs, so condition E is kept; the old unit is a full projection, so
+    the algebras are stably isomorphic."""
+    n = pair.n
+    a = [list(row) + [0] for row in pair.a]
+    b = [list(row) + [0] for row in pair.b]
+    targets = rng.sample(range(n), rng.randint(1, n))
+    a.append([rng.randint(1, 3) if j in targets else 0 for j in range(n + 1)])
+    b.append([rng.choice((-2, -1, 1, 2)) if j in targets else 0 for j in range(n + 1)])
+    order = list(range(n))
+    order.insert(rng.randint(0, n), n)
+    return MatrixPair.from_rows(
+        [[a[i][j] for j in order] for i in order], [[b[i][j] for j in order] for i in order]
+    )
 
 
 def katsura_classic_check(pair: MatrixPair) -> Verdict:

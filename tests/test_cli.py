@@ -17,6 +17,7 @@ from katsura.parsing import NESTING_LIMIT, format_group, parse_matrix_file
 E1_DOC = '{"N": 2, "A": [[2,1],[1,2]], "B": [[1,1],[1,1]]}'
 D2_DOC = '{"N": 1, "A": [[2]], "B": [[1]]}'
 FLIP_DOC = '{"N": 2, "A": [[0,1],[1,0]], "B": [[0,1],[1,0]]}'
+P2_DOC = '{"N": 2, "A": [[2,1],[1,3]], "B": [[-1,2],[1,5]]}'
 
 
 @pytest.fixture
@@ -166,6 +167,35 @@ class TestElementCommands:
     def test_mul_semigroupoid_undefined(self, capsys, e1_file):
         code, out, _ = run(capsys, "mul", "h(2)", "g(1,2,1)", e1_file)
         assert code == 0 and out.strip() == "undefined"
+
+    # g.g, g.h, h.g, h.h and non-composable pairs, on E1 and on a pair with
+    # a negative B-entry; the carries cross the junction in both directions
+    @pytest.mark.parametrize(
+        "doc, left, right, answer",
+        [
+            (E1_DOC, "g(1,1,3).g(1,2,5)", "g(2,1,-4).g(1,1,2)", "g(1,1,1).g(1,2,1).g(2,1,1).g(1,1,2)"),
+            (E1_DOC, "g(1,1,-3)", "g(1,1,2).g(1,2,1).g(2,2,7)", "g(1,1,1).g(1,1,2).g(1,2,1).g(2,2,6)"),
+            (E1_DOC, "g(2,2,-5).g(2,1,3)", "g(1,1,-7).g(1,2,2)", "g(2,2,1).g(2,1,1).g(1,1,2).g(1,2,-3)"),
+            (E1_DOC, "g(1,2,7)", "h(2)^3", "g(1,2,10)"),
+            (E1_DOC, "h(1)^2", "g(1,2,-3).h(2)", "g(1,2,0)"),
+            (E1_DOC, "h(1)^3", "g(1,1,2).g(1,2,1).g(2,2,7)", "g(1,1,1).g(1,2,1).g(2,2,9)"),
+            (E1_DOC, "h(1)^2", "h(1)^5", "h(1)^7"),
+            (E1_DOC, "g(2,2,9).h(2)", "h(2).g(2,1,1)", "g(2,2,1).g(2,1,7)"),
+            (E1_DOC, "g(1,2,1)", "g(1,1,1)", "undefined"),
+            (E1_DOC, "g(1,1,4)", "h(2)", "undefined"),
+            (E1_DOC, "h(1)", "h(2)", "undefined"),
+            (P2_DOC, "g(1,1,-3)", "g(1,1,2).g(1,2,1).g(2,2,7)", "g(1,1,1).g(1,1,2).g(1,2,1).g(2,2,17)"),
+            (P2_DOC, "g(2,2,-5).g(2,1,3)", "g(1,1,-7).g(1,2,2)", "g(2,2,1).g(2,1,1).g(1,1,1).g(1,2,-6)"),
+            (P2_DOC, "h(1)^3", "g(1,1,2).g(1,2,1).g(2,2,7)", "g(1,1,1).g(1,2,1).g(2,2,-3)"),
+            (P2_DOC, "g(2,1,8)", "h(1)^2", "g(2,1,10)"),
+            (P2_DOC, "h(2)", "h(2)^4", "h(2)^5"),
+        ],
+    )
+    def test_mul_semigroupoid(self, capsys, tmp_path, doc, left, right, answer):
+        p = tmp_path / "pair.json"
+        p.write_text(doc)
+        code, out, err = run(capsys, "mul", left, right, str(p))
+        assert (code, out, err) == (0, answer + "\n", "")
 
     def test_lcm(self, capsys, e1_file):
         code, out, _ = run(capsys, "lcm", "g(1,1,1)", "g(1,1,3)", e1_file)
@@ -482,6 +512,18 @@ class TestLetterBudget:
     def test_product_past_the_budget(self, capsys, d2_file):
         half = f"s(1,1,1)^{LETTER_BUDGET // 2 + 1}"
         self.assert_refused(capsys, "domain", 1, "normalize", f"{half}.{half}", d2_file)
+
+    def test_mul_past_the_budget(self, capsys, d2_file):
+        half = f"s(1,1,1)^{LETTER_BUDGET // 2}"
+        code, out, _ = run(capsys, "mul", half, half, d2_file)
+        assert code == 0 and out.count("s(1,1,1)") == LETTER_BUDGET
+        self.assert_refused(capsys, "domain", 1, "mul", half, f"s(1,1,1)^{LETTER_BUDGET // 2 + 1}", d2_file)
+
+    def test_act_past_the_budget(self, capsys, d2_file):
+        path = "[" + ", ".join(["(1,1,1)"] * 5000) + "]"
+        code, out, _ = run(capsys, "act", f"s(1,1,1)^{LETTER_BUDGET - 5000}", path, d2_file)
+        assert code == 0 and out.count("(1,1,") == LETTER_BUDGET
+        self.assert_refused(capsys, "domain", 1, "act", f"s(1,1,1)^{LETTER_BUDGET - 4999}", path, d2_file)
 
     def test_idempotent_power_still_answers(self, capsys, d2_file):
         code, out, _ = run(capsys, "normalize", "(s(1,1,1).s(1,1,1)*)^100000000", d2_file)

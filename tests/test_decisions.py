@@ -8,11 +8,20 @@ from katsura.errors import StructuralError
 from katsura.matrices import MatrixPair, graph_facts
 
 from conftest import cycle_ratio_denominators, escape_witness, random_pair
-from oracles import has_fixed_cylinder, katsura_classic_check, simple_vertex_cycles
+from oracles import (
+    add_transient_vertex,
+    contraction_by_path_counts,
+    has_fixed_cylinder,
+    has_proper_hereditary_saturated_set,
+    katsura_classic_check,
+    simple_vertex_cycles,
+)
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
 FLIP = MatrixPair.from_rows([[0, 1], [1, 0]], [[0, 1], [1, 0]])
 UPPER = MatrixPair.from_rows([[2, 1], [0, 2]], [[1, 1], [0, 1]])
+# vertex 1 lies on no cycle and feeds the loop at 2: not irreducible, but minimal
+TRANSIENT = MatrixPair.from_rows([[0, 1], [0, 2]], [[0, 1], [0, 1]])
 
 
 class TestMinimality:
@@ -29,6 +38,21 @@ class TestMinimality:
         assert analyze(E1).minimal.reasons
         with pytest.raises(StructuralError):
             Verdict("yes", ())
+
+    def test_transient_vertex(self):
+        rep = analyze(TRANSIENT)
+        assert rep.irreducible.value == "no"
+        assert rep.minimal.value == "yes"
+        assert rep.simple.value == "yes"
+        assert rep.purely_infinite_simple.value == "yes"
+        assert rep.locally_contracting.value == "yes"
+
+    def test_against_hereditary_saturated_sets(self):
+        rng = random.Random(3)
+        for _ in range(3000):
+            pair = random_pair(rng, n_max=6, a_max=2)
+            expected = "no" if has_proper_hereditary_saturated_set(pair) else "yes"
+            assert analyze(pair).minimal.value == expected
 
 
 class TestTopologicalFreeness:
@@ -76,11 +100,20 @@ class TestLocallyContracting:
     def test_yes(self):
         assert analyze(E1).locally_contracting.value == "yes"
 
-    def test_unknown_without_condition_l(self):
-        assert analyze(FLIP).locally_contracting.value == "unknown"
+    def test_no_without_condition_l(self):
+        assert analyze(FLIP).locally_contracting.value == "no"
 
-    def test_unknown_without_extension(self):
-        assert analyze(UPPER).locally_contracting.value == "unknown"
+    def test_yes_without_extension(self):
+        assert analyze(UPPER).locally_contracting.value == "yes"
+
+    def test_against_path_counts(self):
+        # about a third of these pairs are not strongly connected
+        rng = random.Random(5)
+        for _ in range(3000):
+            pair = random_pair(rng, n_max=5, a_max=rng.choice((1, 2)))
+            expected = contraction_by_path_counts(pair)
+            assert expected is not None
+            assert analyze(pair).locally_contracting.value == ("yes" if expected else "no")
 
 
 class TestPureInfiniteness:
@@ -93,6 +126,21 @@ class TestPureInfiniteness:
     def test_unknown_propagates(self):
         pair = MatrixPair.from_rows([[2]], [[0]])
         assert analyze(pair).purely_infinite_simple.value == "unknown"
+
+
+class TestTransientVertex:
+    # one more vertex with arcs into the pair and none coming in: the old unit
+    # is a full projection, so the algebras are stably isomorphic
+    FIELDS = ("minimal", "simple", "purely_infinite_simple", "locally_contracting")
+
+    def test_verdicts_and_k_groups_unchanged(self):
+        rng = random.Random(9)
+        for _ in range(2000):
+            pair = random_pair(rng, n_max=4, ensure_e=True)
+            before, after = analyze(pair), analyze(add_transient_vertex(rng, pair))
+            for name in self.FIELDS:
+                assert getattr(after, name).value == getattr(before, name).value, name
+            assert after.kgroups == before.kgroups
 
 
 class TestClassicCheck:
@@ -292,7 +340,6 @@ class TestLongCycle:
         facts = graph_facts(pair)
         assert facts.irreducible
         assert not facts.condition_k
-        assert facts.paths_extend
         assert escape_witness(fixed_point_escape(pair)) == (1, 1)
 
     def test_with_chord(self):
@@ -300,5 +347,4 @@ class TestLongCycle:
         facts = graph_facts(pair)
         assert facts.irreducible
         assert facts.condition_k
-        assert facts.paths_extend
         assert fixed_point_escape(pair).value == "yes"

@@ -380,26 +380,3 @@ class TestTransitory:
             Cycle(((1, 2, 1),))  # not closed
         with pytest.raises(StructuralError):
             Cycle(((1, 1, 1), (2, 2, 1)))  # endpoints do not chain
-
-
-class TestPathExtension:
-    def test_irreducible_implies(self):
-        assert graph_facts(E1).paths_extend
-
-    def test_one_way_arc(self):
-        assert not graph_facts(pair_of([[2, 1], [0, 2]], [[1, 1], [0, 1]])).paths_extend
-
-    def test_single_loop(self):
-        assert graph_facts(pair_of([[1]], [[1]])).paths_extend
-
-    def test_against_reachability_closure(self):
-        # every reachable vertex reaches back
-        rng = random.Random(18)
-        for _ in range(200):
-            pair = random_pair(rng, n_max=6, a_max=2)
-            reach = brute_reach(pair)
-            n = pair.n
-            expected = all(
-                reach[j][i] for i in range(n) for j in range(n) if reach[i][j]
-            )
-            assert graph_facts(pair).paths_extend == expected

@@ -97,6 +97,24 @@ class TestCompose:
     def test_vertex_mismatch_is_undefined(self):
         assert compose(E1, HPower(2, 1), GWord(((1, 2, 1),))) is None
 
+    def test_matches_standard_form_of_the_joined_word(self):
+        # compose joins two standard forms at the junction; standard_form
+        # normalizes the whole raw word
+        def raw(e):
+            return [HAtom(e.vertex, e.exponent)] if isinstance(e, HPower) else list(e.edges)
+
+        rng = random.Random(24)
+        joined = 0
+        while joined < 2000:
+            pair = random_pair(rng, n_max=3, a_max=3, b_max=4)
+            f = random_sgp(rng, pair, max_len=5)
+            gel = random_sgp(rng, pair, max_len=5)
+            if target(f) != source(gel):
+                assert compose(pair, f, gel) is None
+                continue
+            assert compose(pair, f, gel) == standard_form(pair, raw(f) + raw(gel))
+            joined += 1
+
     def test_monic(self):
         rng = random.Random(22)
         for _ in range(400):
