@@ -92,10 +92,8 @@ def _format_element(e) -> str:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.file, "rb") as fh:
-        data = fh.read()
     try:
-        parsing.parse_matrix_file(data)
+        _load_pair(args.file)
     except StructuralError as exc:
         return _fail("validation", str(exc), EXIT_SEMANTIC)
     print("ok")

@@ -28,10 +28,11 @@ into a cyclic strongly connected component (one with an internal arc).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import matrices
 from .errors import StructuralError, format_int
-from .ktheory import KTheoryResult, _coprime_basis, _valuation, k_groups
+from .ktheory import KTheoryResult, k_groups
 from .matrices import MatrixPair
 
 
@@ -75,6 +76,41 @@ def _unknown(tag: str, text: str) -> Verdict:
 
 def _bool_verdict(flag: bool, name: str, yes_text: str, no_text: str) -> Verdict:
     return _yes(name, yes_text) if flag else _no(f"not-{name}", no_text)
+
+
+def _coprime_basis(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 over which every nonzero number factors.
+
+    Repeated gcd splitting: a number sharing a factor g with a basis element
+    b replaces b by b/g, g and itself by x/g.  The product of everything
+    pending drops by g at each split, so it terminates; nothing is factored
+    into primes.  (Bernstein 2005 computes the same basis in near-linear
+    time.)
+    """
+    basis: list[int] = []
+    pending = sorted({abs(x) for x in numbers})
+    while pending:
+        x = pending.pop()
+        if x <= 1:
+            continue
+        for k, b in enumerate(basis):
+            g = gcd(x, b)
+            if g > 1:
+                del basis[k]
+                pending += (b // g, g, x // g)
+                break
+        else:
+            basis.append(x)
+    return basis
+
+
+def _valuation(x: int, q: int) -> int:
+    """Exponent of q in a nonzero x that factors over a coprime basis holding q."""
+    e = 0
+    while x % q == 0:
+        x //= q
+        e += 1
+    return e
 
 
 def fixed_point_escape(pair: MatrixPair) -> Verdict:
@@ -262,7 +298,7 @@ def analyze(pair: MatrixPair) -> AnalysisReport:
             "requires-condition-E", "Hausdorffness is only certified when condition (E) holds"
         )
     notes = []
-    if all(x == 0 for row in pair.b for x in row):
+    if len(pair.zero_b_rows) == pair.n:
         notes.append(
             "B = 0: the algebra is the Cuntz-Krieger algebra of A; "
             "the vertex unitaries collapse to projections"

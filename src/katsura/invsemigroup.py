@@ -93,11 +93,12 @@ def push_unitary(
 
 
 def triple(pair: MatrixPair, left: PathWord, exponent: int, right: PathWord) -> Triple:
-    """Normalized constructor.  A unitary whose B-row vanishes identically is
-    the range projection itself, so its power collapses to zero."""
+    """Normalized constructor.  At a vertex whose B-row is zero (one of
+    `pair.zero_b_rows`) the unitary is the range projection itself, so its
+    power collapses to exponent 0."""
     if left.target != right.target:
         raise StructuralError("left and right paths must share their range vertex")
-    if exponent and pair.b_row_is_zero(left.target):
+    if exponent and left.target in pair.zero_b_rows:
         exponent = 0
     return Triple(left, exponent, right)
 

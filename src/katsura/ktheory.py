@@ -154,41 +154,6 @@ class AbelianGroup:
             raise StructuralError("invariant factors must be >= 2")
 
 
-def _coprime_basis(numbers) -> list[int]:
-    """Pairwise coprime integers > 1 over which every nonzero number factors.
-
-    Repeated gcd splitting: a number sharing a factor g with a basis element
-    b replaces b by b/g, g and itself by x/g.  The product of everything
-    pending drops by g at each split, so it terminates; nothing is factored
-    into primes.  (Bernstein 2005 computes the same basis in near-linear
-    time.)
-    """
-    basis: list[int] = []
-    pending = sorted({abs(x) for x in numbers})
-    while pending:
-        x = pending.pop()
-        if x <= 1:
-            continue
-        for k, b in enumerate(basis):
-            g = gcd(x, b)
-            if g > 1:
-                del basis[k]
-                pending += (b // g, g, x // g)
-                break
-        else:
-            basis.append(x)
-    return basis
-
-
-def _valuation(x: int, q: int) -> int:
-    """Exponent of q in a nonzero x that factors over a coprime basis holding q."""
-    e = 0
-    while x % q == 0:
-        x //= q
-        e += 1
-    return e
-
-
 def abelian_group(free_rank: int, cyclic_orders: list[int]) -> AbelianGroup:
     """Normalize a direct sum of cyclic summands into invariant factor form.
 

@@ -9,7 +9,7 @@ arithmetic; nothing in this package touches floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import not_
 from typing import Sequence
 
@@ -29,55 +29,43 @@ class MatrixPair:
     b: tuple[tuple[int, ...], ...]
     # entry i - 1 lists the out-vertices of i, read off the same scan
     sections: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    # the vertices whose B-row is zero: there u_i = p_i, so the normal form
+    # reads every unitary exponent standing at such a vertex as 0
+    zero_b_rows: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        """Each rule is one scan in C; only a failed scan looks up the
+        entries its message names.  The first entry that is not an integer
+        fails first, then the first negative A-entry, then a message listing
+        every zero A-row and every B-entry off the support."""
         if not self.a:
             raise StructuralError("A is empty")
         for name, m in (("A", self.a), ("B", self.b)):
             if len(m) != self.n or any(len(row) != self.n for row in m):
                 raise StructuralError(f"{name} is not a square matrix of size {self.n}")
         a, b = self.a, self.b
-        # one scan in C for the common case, a valid pair of plain ints; any
-        # other input takes the loop below, which names the first problem
-        if (
-            set(map(type, chain(*a, *b))) <= {int}
-            and min(map(min, a)) >= 0
-            and all(map(any, a))  # no zero row
-            and not any(any(compress(b_row, map(not_, a_row))) for a_row, b_row in zip(a, b))
-        ):
-            columns = range(1, len(a) + 1)
-            sections = tuple(tuple(compress(columns, row)) for row in a)
-        else:
-            sections = self._checked_sections()
-        object.__setattr__(self, "sections", sections)
-
-    def _checked_sections(self) -> tuple[tuple[int, ...], ...]:
-        """The row sections, checked entry by entry.  Raises StructuralError
-        for the first entry that is not an integer, else for the first
-        negative A-entry, else listing every zero row and every B-entry off
-        the support."""
-        for x in chain(*self.a, *self.b):
-            # bool is an int subclass; reject it so JSON `true` cannot sneak in as 1
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise StructuralError(f"matrix entry {x!r} is not an integer")
-        sections = []
-        zero_rows = []
-        off_support = []
-        for i, (a_row, b_row) in enumerate(zip(self.a, self.b), 1):
-            section = []
-            for j, (x, y) in enumerate(zip(a_row, b_row), 1):
-                if x < 0:
-                    raise StructuralError(f"A[{i}][{j}] = {x} is negative")
-                if x:
-                    section.append(j)
-                elif y:
-                    off_support.append(f"B[{i}][{j}] is nonzero but A[{i}][{j}] = 0")
-            if not section:
-                zero_rows.append(f"row {i} of A is zero")
-            sections.append(tuple(section))
-        if zero_rows or off_support:
+        # bool is an int subclass; reject it so JSON `true` cannot sneak in as 1
+        if any(t is bool or not issubclass(t, int) for t in set(map(type, chain(*a, *b)))):
+            x = next(x for x in chain(*a, *b) if isinstance(x, bool) or not isinstance(x, int))
+            raise StructuralError(f"matrix entry {x!r} is not an integer")
+        if min(map(min, a)) < 0:
+            i, j, x = next(
+                (i, j, x) for i, row in enumerate(a, 1) for j, x in enumerate(row, 1) if x < 0
+            )
+            raise StructuralError(f"A[{i}][{j}] = {x} is negative")
+        columns = range(1, self.n + 1)
+        sections = tuple(tuple(compress(columns, row)) for row in a)
+        if not all(sections) or any(map(any, map(compress, b, map(map, repeat(not_), a)))):
+            zero_rows = [f"row {i} of A is zero" for i, js in enumerate(sections, 1) if not js]
+            off_support = [
+                f"B[{i}][{j}] is nonzero but A[{i}][{j}] = 0"
+                for i, (a_row, b_row) in enumerate(zip(a, b), 1)
+                for j, (x, y) in enumerate(zip(a_row, b_row), 1)
+                if y and not x
+            ]
             raise StructuralError("invalid pair: " + "; ".join(zero_rows + off_support))
-        return tuple(sections)
+        object.__setattr__(self, "sections", sections)
+        object.__setattr__(self, "zero_b_rows", frozenset(compress(columns, map(not_, map(any, b)))))
 
     @staticmethod
     def from_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> "MatrixPair":
@@ -96,9 +84,6 @@ class MatrixPair:
     def out_vertices(self, i: int) -> tuple[int, ...]:
         """The row section of the support at i."""
         return self.sections[i - 1]
-
-    def b_row_is_zero(self, i: int) -> bool:
-        return all(x == 0 for x in self.b[i - 1])
 
 
 def strongly_connected_components(pair: MatrixPair) -> list[tuple[int, ...]]:

@@ -75,7 +75,9 @@ class NeedLongerPrefix:
 @dataclass(frozen=True)
 class ActResult:
     prefix: PathWord
-    residual: int  # unitary exponent still to be pushed through any further letters
+    # unitary exponent still to be pushed through any further letters, as the
+    # normal form reads it: 0 when the prefix ends at a zero B-row
+    residual: int
 
 
 ACT_ZERO = ActZero()
@@ -86,7 +88,9 @@ ActOutcome = ActZero | NeedLongerPrefix | ActResult
 
 def act_on_prefix(pair: MatrixPair, s: ISgElement, gamma: PathWord) -> ActOutcome:
     """Apply s to a cylinder: strips s's adjoint word, prepends its path word,
-    and pushes its unitary exponent through the remaining letters."""
+    and pushes its unitary exponent through the remaining letters.  The
+    residual reads 0 where the image ends at a vertex of `pair.zero_b_rows`,
+    whose unitary is its projection."""
     if isinstance(s, Zero):
         return ACT_ZERO
     j_word = s.right
@@ -96,7 +100,8 @@ def act_on_prefix(pair: MatrixPair, s: ISgElement, gamma: PathWord) -> ActOutcom
         return ACT_ZERO
     rest = gamma.edges[len(j_word.edges):]
     pushed, residual = push_unitary(pair, j_word.target, s.exponent, rest)
-    return ActResult(PathWord(s.left.base, s.left.edges + pushed), residual)
+    image = PathWord(s.left.base, s.left.edges + pushed)
+    return ActResult(image, 0 if image.target in pair.zero_b_rows else residual)
 
 
 def act_on_periodic(
@@ -216,8 +221,8 @@ def germ_equal(
       exists, sits at an index below D.
 
     The products are not answers, so they are not built: `act_on_prefix`
-    on the cylinder gives each l and r, the residual read as 0 at a vertex
-    whose B-row is zero, as the normal form reads it.
+    on the cylinder gives each l and r, with r already read as the normal
+    form reads it.
     """
     for elem in (s, t):
         if isinstance(elem, Zero):
@@ -226,9 +231,6 @@ def germ_equal(
             raise DomainError("point lies outside the element's domain")
     depth = max(len(x.preperiod), len(s.right), len(t.right)) + len(x.period)
     cylinder = x.unfold(depth)
-    germs = []
-    for elem in (s, t):
-        image = act_on_prefix(pair, elem, cylinder)
-        germs.append((image.prefix, 0 if pair.b_row_is_zero(image.prefix.target) else image.residual))
-    return "equal" if germs[0] == germs[1] else "not-equal"
+    same = act_on_prefix(pair, s, cylinder) == act_on_prefix(pair, t, cylinder)
+    return "equal" if same else "not-equal"
 

@@ -66,6 +66,13 @@ class TestValidate:
         assert code == 2
         assert json.loads(err)["kind"] == "parse"
 
+    def test_document_that_is_not_an_object(self, capsys, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text("[1]")
+        code, _, err = run(capsys, "validate", str(p))
+        assert code == 1
+        assert json.loads(err) == {"kind": "validation", "message": "matrix file must be a JSON object"}
+
 
 class TestAnalyze:
     def test_text_report(self, capsys, e1_file):
@@ -240,6 +247,15 @@ class TestActionCommands:
         code, out, _ = run(capsys, "act", "s(2,1,1)", "[(1,1,2)]", e1_file)
         assert code == 0
         assert out.strip() == "[(2,1,1), (1,1,2)] residual 0"
+
+    def test_act_residual_at_a_zero_b_row(self, capsys, tmp_path):
+        # the answer mul gives: u(1) s(1,2,1) = s(1,2,1), as u_2 = p_2
+        p = tmp_path / "zero_b_row.json"
+        p.write_text('{"N": 2, "A": [[2, 1], [1, 2]], "B": [[1, 1], [0, 0]]}')
+        code, out, _ = run(capsys, "act", "u(1)", "[(1,2,1)]", str(p))
+        assert code == 0 and out.strip() == "[(1,2,1)] residual 0"
+        code, out, _ = run(capsys, "mul", "u(1)", "s(1,2,1)", str(p))
+        assert code == 0 and out.strip() == "s(1,2,1)"
 
     def test_act_zero(self, capsys, e1_file):
         code, out, _ = run(capsys, "act", "q(2)", "[(1,1,1)]", e1_file)

@@ -84,6 +84,12 @@ def random_rows(rng):
 class TestValidate:
     def test_ok(self):
         assert E1.sections == ((1, 2), (1, 2))
+        assert E1.zero_b_rows == frozenset()
+
+    def test_zero_b_rows(self):
+        pair = pair_of([[2, 1, 0], [1, 2, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 0], [0, 0, 0]])
+        assert pair.zero_b_rows == {2, 3}
+        assert pair == pair_of(pair.a, pair.b) and "zero_b_rows" not in repr(pair)
 
     def test_zero_row(self):
         with pytest.raises(StructuralError) as exc:
@@ -141,6 +147,9 @@ class TestValidate:
                 assert pair.sections == tuple(
                     tuple(j for j, x in enumerate(row, 1) if x) for row in a
                 )
+                assert pair.zero_b_rows == {i for i, row in enumerate(b, 1) if not any(row)}
+                if pair.zero_b_rows:
+                    seen.add("valid with a zero B-row")
                 seen.add("valid")
                 entries = [x for row in a + b for x in row]
                 if any(type(x) is Int for x in entries):
@@ -158,7 +167,7 @@ class TestValidate:
                 not_integers.add(expected.split()[2])
         assert not_integers == {"True", "False", "1.0", "None", "'1'"}
         assert seen == {
-            "valid", "valid with an int subclass", "valid with a huge entry",
+            "valid", "valid with an int subclass", "valid with a huge entry", "valid with a zero B-row",
             "empty", "square", "integer", "negative", "is zero", "nonzero but",
         }
 

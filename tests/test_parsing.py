@@ -68,6 +68,16 @@ class TestMatrixFiles:
         with pytest.raises(ExprParseError, match="UTF-8"):
             parse_matrix_file(b'{"N":1,\xff"A":[[2]],"B":[[1]]}')
 
+    @pytest.mark.parametrize("doc", [b"[1]", b"2", b'"N"', b"null"])
+    def test_document_that_is_not_an_object(self, doc):
+        with pytest.raises(StructuralError, match="matrix file must be a JSON object"):
+            parse_matrix_file(doc)
+
+    @pytest.mark.parametrize("n", ["0", "-1", "true", '"2"', "1.5"])
+    def test_n_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(StructuralError, match="N must be a positive integer, got "):
+            parse_matrix_file(f'{{"N":{n},"A":[[2]],"B":[[1]]}}'.encode())
+
 
 class TestSemigroupoidGrammar:
     def test_normalizes_on_parse(self):
@@ -333,6 +343,11 @@ class TestPathLiterals:
     def test_periodic_canonicalizes(self):
         x = parse_periodic_path("[] ~ [(1,1,1), (1,1,1)]", E1)
         assert len(x.period) == 1
+
+    @pytest.mark.parametrize("text", ["[] ~ []", "[(1,1,1)] ~ []", "[]@2 ~ []"])
+    def test_empty_period(self, text):
+        with pytest.raises(SemanticError, match="the periodic part must be nonempty"):
+            parse_periodic_path(text, E1)
 
     def test_round_trip(self):
         rng = random.Random(83)

@@ -10,6 +10,7 @@ from katsura.invsemigroup import (
     ZERO,
     is_prefix,
     multiply,
+    push_unitary,
     star,
     triple,
 )
@@ -112,6 +113,30 @@ class TestActOnPrefix:
 
     def test_zero_element(self):
         assert act_on_prefix(E1, ZERO, PathWord(1)) == ACT_ZERO
+
+    def test_residual_reads_zero_at_a_zero_b_row(self):
+        # u_2 = p_2, so u(1) s(1,2,1) = s(1,2,1) u(2)^1 = s(1,2,1)
+        pair = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [0, 0]])
+        gamma = PathWord(1, ((1, 2, 1),))
+        assert act_on_prefix(pair, unitary(pair, 1), gamma) == ActResult(gamma, 0)
+
+    def test_residual_is_the_normal_forms_exponent(self):
+        # s . gamma = gamma' with residual r iff s s_gamma = s_gamma' u^r in normal form
+        rng = random.Random(35)
+        at_zero_rows = 0
+        for _ in range(2000):
+            pair = random_pair(rng, n_max=3, a_max=3, b_max=9)
+            b = [[0] * pair.n if rng.random() < 0.5 else row for row in pair.b]
+            pair = MatrixPair.from_rows(pair.a, b)
+            s = random_isg(rng, pair, max_len=3, t_max=30)
+            walk = random_walk(rng, pair, s.right.target, rng.randint(0, 2))
+            gamma = PathWord(s.right.base, s.right.edges + walk)
+            out = act_on_prefix(pair, s, gamma)
+            product = multiply(pair, s, triple(pair, gamma, 0, PathWord(gamma.target)))
+            assert (product.left, product.exponent) == (out.prefix, out.residual)
+            _, pushed_past = push_unitary(pair, s.right.target, s.exponent, gamma.edges[len(s.right):])
+            at_zero_rows += gamma.target in pair.zero_b_rows and pushed_past != 0
+        assert at_zero_rows > 50
 
 
 class TestActOnPeriodic:
@@ -439,6 +464,9 @@ class TestImagePoint:
 
     def test_outside_domain(self):
         assert image_point(E1, projection_q(E1, 2), loop_point(E1, 1)) == ACT_ZERO
+
+    def test_zero(self):
+        assert image_point(E1, ZERO, loop_point(E1, 1)) == ACT_ZERO
 
     def test_matches_prefix_action(self):
         rng = random.Random(46)
