@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import invsemigroup as isg
 from . import parsing, semigroupoid as sgp
@@ -75,6 +76,22 @@ def _report_dict(report: AnalysisReport) -> dict:
     return out
 
 
+def _json_indented(value, pad: str = "\n") -> str:
+    """The text of `json.dumps(value, indent=2)` for nested dicts, lists
+    and strings.  With an indent, `json.dumps` runs the pure-Python
+    encoder; here each string goes through the C escaper that it would
+    call, and the layout is joined around it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_indented(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return "[" + inner + ("," + inner).join([_json_indented(v, inner) for v in value]) + pad + "]"
+
+
 def _print_report(report: AnalysisReport) -> None:
     for name, v in report.verdict_fields().items():
         tags = ", ".join(r.tag for r in v.reasons)
@@ -104,7 +121,7 @@ def _cmd_analyze(args) -> int:
     pair = _load_pair(args.file)
     report = analyze(pair)
     if args.json:
-        print(json.dumps(_report_dict(report), indent=2))
+        print(_json_indented(_report_dict(report)))
     else:
         _print_report(report)
     if args.strict and any(v.value == "unknown" for v in report.verdict_fields().values()):

@@ -6,9 +6,13 @@ entries of any diagonal matrix D = UMV with U and V unimodular: it is
 Z^(m - rank) plus the sum of the Z/d.  So `k_groups` reads it off
 `diagonal_form`, an elimination that keeps neither U nor V and does not
 make the diagonal a divisor chain; `abelian_group` then normalizes the
-cyclic orders by gcd and lcm.  The elimination runs on sparse rows while the active
-block is sparse, and finishes on dense lists once it has filled in, as
-Dumas, Saunders and Villard (2001) do for sparse Smith forms.
+cyclic orders by gcd and lcm.  The elimination first removes, in one
+sweep, every unit pivot whose row or column holds at most one other
+entry, each of which lowers the nonzero count (the singleton and
+doubleton presolve of sparse elimination).  It then runs on sparse rows
+while the active block is sparse, and finishes on dense lists once it
+has filled in, as Dumas, Saunders and Villard (2001) do for sparse Smith
+forms.
 `smith_normal_form` keeps both witnesses and the divisor chain; no
 command calls it, but perfbench's `snf` operation times it and the
 tests check `diagonal_form` against it.
@@ -200,6 +204,50 @@ def _subtract_row(live: dict, cols: dict, i: int, r: int, q: int) -> None:
         del live[i]
 
 
+def _sweep(live: dict, cols: dict) -> int:
+    """Eliminate every unit pivot whose row or column holds at most one
+    other entry, returning how many it eliminated.
+
+    Row operations clear the pivot's column, and then column operations
+    clear its row without changing any other, so the pivot's row and
+    column leave the matrix.  If the column held one other entry, that row
+    gains at most the pivot row's other entries; if the row held one other
+    entry, each cleared row gains at most that one.  Either way the nonzero
+    count falls, by at least 2 unless the pivot was alone in its row and its
+    column, so there is no fill-in to weigh and no Euclid step to take.
+    Rows that change, and rows in a column left with at most two entries,
+    are checked again.  Columns left empty are dropped.
+    """
+    count = 0
+    work = set(live)
+    while work:
+        r = work.pop()
+        row = live.get(r)
+        if row is None:
+            continue
+        short = len(row) <= 2
+        for c, p in row.items():
+            if (p == 1 or p == -1) and (short or len(cols[c]) <= 2):
+                break
+        else:
+            continue
+        count += 1
+        del row[c]
+        for i in cols.pop(c):
+            if i != r:
+                _subtract_row(live, cols, i, r, live[i].pop(c) * p)
+                work.add(i)
+        del live[r]
+        for j in row:
+            col = cols[j]
+            col.discard(r)
+            if not col:
+                del cols[j]
+            elif len(col) <= 2:
+                work |= col
+    return count
+
+
 def _settle(live: dict, cols: dict, r: int, c: int, touched: set) -> int:
     """Eliminate the pivot at (r, c), returning its absolute value.
 
@@ -247,9 +295,12 @@ def _dense_tail(live: dict, cols: dict) -> list[int]:
     The rows become lists over the nonempty columns, so a row operation is
     one pass of list arithmetic, with no dict lookups and no index sets.
     Each pivot starts at an entry of smallest absolute value in the block.
-    Unless it is a unit, Euclid's algorithm on its row and the row holding
-    the next smallest entry of its column first brings it down to their
-    gcd.  One pass of nearest-integer quotients then clears the column,
+    Unless it divides the next smallest entry x of its column, one
+    extended-gcd step on its row r and that entry's row s first brings it
+    down to g = gcd(p, x): with u = (p/g)^-1 mod |x/g| and w = (g - u p)/x,
+    the rows become u r + w s and (x/g) r - (p/g) s, a unimodular change
+    (determinant -1) that leaves g at the pivot and 0 below it.  One pass
+    of nearest-integer quotients then clears the column,
     leaving remainders of at most half the pivot.  As in `_settle`, the
     pivot moves to the smallest remainder while one is left; once the
     column is clear, the pivot row is reduced by symmetric remainders
@@ -267,13 +318,16 @@ def _dense_tail(live: dict, cols: dict) -> list[int]:
             rest = [i for i, row in enumerate(block) if row[c] and i != r]
             if rest and p not in (1, -1):
                 s = min(rest, key=lambda i: abs(block[i][c]))
-                while True:
-                    q = (2 * block[s][c] + p) // (2 * p)
-                    block[s] = b = [y - q * x for x, y in zip(block[r], block[s])]
-                    if not b[c]:
-                        break
-                    r, s, p = s, r, b[c]
-                rest = [i for i, row in enumerate(block) if row[c] and i != r]
+                x = block[s][c]
+                if x % p:
+                    g = gcd(p, x)
+                    u = pow(p // g, -1, abs(x // g))
+                    w = (g - u * p) // x
+                    a, b = block[r], block[s]
+                    block[r] = [u * y + w * z for y, z in zip(a, b)]
+                    block[s] = [x // g * y - p // g * z for y, z in zip(a, b)]  # zero at c
+                    rest.remove(s)
+                    p = g
             a = block[r]
             for i in rest:
                 q = (2 * block[i][c] + p) // (2 * p)
@@ -311,7 +365,13 @@ def diagonal_form(rows: Sequence[Mapping[int, int]]) -> tuple[int, list[int]]:
     unimodular transforms nor the divisor chain of the Smith form is kept.
 
     The matrix is stored as sparse rows plus, per nonempty column, the set
-    of rows holding it.  Each pivot is an entry of smallest absolute value,
+    of rows holding it.  `_sweep` first eliminates every unit pivot whose
+    row or column holds at most one other entry.  Each such pivot lowers
+    the nonzero count, so the sweep takes at most nnz pivots and needs no
+    key and no Euclid step; on a cycle with chords it leaves a handful of
+    rows, and on a dense block it finds nothing.
+
+    What is left is eliminated by pivots of smallest absolute value,
     ties going to the smallest Markowitz cost (row count - 1) * (column
     count - 1), which keeps fill-in low on sparse input.  A heap holds one
     key per row, its smallest entry and that entry's cost, recomputed
@@ -324,10 +384,12 @@ def diagonal_form(rows: Sequence[Mapping[int, int]]) -> tuple[int, list[int]]:
     more than two live rows left, 4 * cost >= (live rows - 1)^2 says that
     the pivot's row and column, by their geometric mean, reach about half
     the live rows.  Then `_dense_tail` finishes the elimination on lists
-    over the nonempty columns, with two-row Euclid steps and
-    nearest-integer quotients.  The test is O(1) per pivot; a sparse input
-    reaches the dense tail only for its last few rows, a dense one at its
-    first pivot.
+    over the nonempty columns, with extended-gcd steps and nearest-integer
+    quotients.  The test is O(1) per pivot; a sparse input reaches the
+    dense tail only for its last few rows, a dense one at its first pivot.
+    No pivot costs less than (shortest row - 1) * (shortest column - 1), so
+    when that bound already passes the test, which takes one O(nnz) scan,
+    the block goes to the dense tail before any key is computed.
     """
     from heapq import heapify, heappop, heappush  # here, to keep it off the import path
 
@@ -339,6 +401,14 @@ def diagonal_form(rows: Sequence[Mapping[int, int]]) -> tuple[int, list[int]]:
             live[i] = row
             for j in row:
                 cols.setdefault(j, set()).add(i)
+    pivots = [1] * _sweep(live, cols)
+
+    def filled(cost: int) -> bool:
+        return 4 * cost >= (len(live) - 1) ** 2 and len(live) > 2
+
+    if live and filled((min(map(len, live.values())) - 1) * (min(map(len, cols.values())) - 1)):
+        pivots += _dense_tail(live, cols)  # no pivot costs less, so the first would go there
+        return len(rows) - len(pivots), pivots
     latest: dict[int, tuple] = {}
 
     def key(i: int) -> tuple:
@@ -350,7 +420,6 @@ def diagonal_form(rows: Sequence[Mapping[int, int]]) -> tuple[int, list[int]]:
 
     heap = [key(i) for i in live]
     heapify(heap)
-    pivots = []
     while live:
         k = heappop(heap)
         i = k[2]
@@ -360,7 +429,7 @@ def diagonal_form(rows: Sequence[Mapping[int, int]]) -> tuple[int, list[int]]:
         if fresh[1] > k[1]:
             heappush(heap, fresh)
             continue
-        if 4 * fresh[1] >= (len(live) - 1) ** 2 and len(live) > 2:
+        if filled(fresh[1]):
             pivots += _dense_tail(live, cols)
             break
         touched: set[int] = set()

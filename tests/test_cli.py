@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import signal
 import sys
 import time
@@ -9,10 +10,13 @@ from dataclasses import asdict
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from katsura.cli import build_parser, main
+from katsura.cli import _json_indented, _report_dict, build_parser, main
 from katsura.decisions import analyze
 from katsura.errors import LETTER_BUDGET
+from katsura.matrices import MatrixPair
 from katsura.parsing import NESTING_LIMIT, format_group, parse_matrix_file
+
+from conftest import random_pair
 
 E1_DOC = '{"N": 2, "A": [[2,1],[1,2]], "B": [[1,1],[1,1]]}'
 D2_DOC = '{"N": 1, "A": [[2]], "B": [[1]]}'
@@ -106,6 +110,36 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", str(p), "--json")
         assert code == 0
         assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_writer_matches_json_dumps_on_seeded_reports(self, capsys, tmp_path):
+        # every fourth pair has B = 0, which adds the Cuntz-Krieger note
+        rng = random.Random(73)
+        with_notes = 0
+        for k in range(48):
+            pair = random_pair(rng, n_max=3)
+            if k % 4 == 0:
+                pair = MatrixPair.from_rows(pair.a, [[0] * pair.n for _ in range(pair.n)])
+            doc = _report_dict(analyze(pair))
+            with_notes += "notes" in doc
+            assert _json_indented(doc) == json.dumps(doc, indent=2)
+            if k < 8:
+                p = tmp_path / f"pair{k}.json"
+                p.write_text(json.dumps({"N": pair.n, "A": pair.a, "B": pair.b}))
+                assert run(capsys, "analyze", str(p), "--json") == (0, json.dumps(doc, indent=2) + "\n", "")
+        assert with_notes >= 12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.text(),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+            max_leaves=12,
+        )
+    )
+    @example({"a\"b": ["line\nbreak", "tab\t", "caf\u00e9 \u2203 \U0001d504", {}, []], "": {"k": ""}})
+    @example({"notes": ["\\", "\ud800", "\x00\x1f\x7f"]})
+    def test_writer_matches_json_dumps(self, value):
+        assert _json_indented(value) == json.dumps(value, indent=2)
 
     def test_simple_no(self, capsys, tmp_path):
         p = tmp_path / "flip.json"

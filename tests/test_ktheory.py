@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from katsura import ktheory
 from katsura.errors import StructuralError, UnrealizableWithSquareMatrices
@@ -422,6 +422,95 @@ class TestDiagonalForm:
                 order *= d
             assert order % p in (det, -det % p)
         assert kt.k0.free_rank == kt.k1.free_rank == free
+
+
+def live_and_cols(rows):
+    """The sparse rows and column index sets that `diagonal_form` works on."""
+    live = {i: {j: x for j, x in row.items() if x} for i, row in enumerate(rows)}
+    live = {i: row for i, row in live.items() if row}
+    cols = {}
+    for i, row in live.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    return live, cols
+
+
+@st.composite
+def unit_heavy_blocks(draw):
+    """A block of up to 9 x 9, mostly units, at a density drawn for the block."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    entry = st.sampled_from((0,) * draw(st.integers(0, 12)) + (1, -1, 1, -1, 2, -2, 3))
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+def chorded_minus(rng, n, zero_b):
+    """I - B for a cycle with n / 8 chords of reach at most 4, with B zero
+    on one arc and, when asked, on a whole row; the entries of B are
+    negative as well as positive."""
+    b = [list(row) for row in cycle_with_chords(rng, n, max(2, n // 8), reach=4).b]
+    support = [(i, j) for i in range(n) for j in range(n) if b[i][j]]
+    i, j = rng.choice(support)
+    b[i][j] = 0
+    if zero_b:
+        b[rng.randrange(n)] = [0] * n
+    return i_minus(b)
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The number of pivots `_sweep` takes, one per call."""
+    seen = []
+    sweep = ktheory._sweep
+
+    def counting(live, cols):
+        seen.append(sweep(live, cols))
+        return seen[-1]
+
+    monkeypatch.setattr(ktheory, "_sweep", counting)
+    return seen
+
+
+class TestUnitSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(unit_heavy_blocks())
+    # a unit whose row holds four other entries and whose column two: taking
+    # it would fill in 8 entries and clear 7, so the sweep must leave it
+    @example([[1, 2, 2, 2, 2, 0, 0, 0, 0], [2, 0, 0, 0, 0, 2, 2, 0, 0], [2, 0, 0, 0, 0, 0, 0, 2, 2]])
+    def test_sweep_lowers_the_nonzero_count(self, m):
+        live, cols = live_and_cols(sparse_rows(m))
+        before = sum(map(len, live.values()))
+        count = ktheory._sweep(live, cols)
+        # each pivot takes its own entry and fills in no more than it clears
+        assert sum(map(len, live.values())) <= before - count
+        # the index sets still describe the rows, with no empty column
+        assert cols == {j: {i for i, row in live.items() if j in row} for row in live.values() for j in row}
+        # no pivot the sweep could take is left
+        for row in live.values():
+            for j, x in row.items():
+                assert x not in (1, -1) or (len(row) > 2 and len(cols[j]) > 2), (m, live)
+        # the count unit pivots and what is left make up the whole cokernel
+        _, pivots = diagonal_form(list(live.values()))
+        assert abelian_group(len(m) - count - len(pivots), pivots) == smith_group(m)
+
+    def test_cycles_with_chords(self, swept):
+        rng = random.Random(69)
+        for k in range(60):
+            m = chorded_minus(rng, rng.randint(8, 40), zero_b=k % 2)
+            assert abelian_group(*diagonal_form(sparse_rows(m))) == smith_group(m), m
+        assert min(swept) > 0
+
+    def test_rectangular_sparse_blocks(self, swept, tail_rows):
+        rng = random.Random(70)
+        for _ in range(150):
+            rows, cols = rng.randint(1, 24), rng.randint(1, 24)
+            density = rng.choice((0.1, 0.2, 0.35))
+            m = [
+                [rng.choice((-1, 1, -2, 2, 3, -5)) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            assert abelian_group(*diagonal_form(sparse_rows(m))) == smith_group(m), m
+        assert sum(map(bool, swept)) >= 100
+        assert tail_rows  # some blocks are left dense enough to finish in the tail
 
 
 GROUPS = {
