@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import matrices
-from .errors import StructuralError, format_int
+from .errors import DomainError, StructuralError, format_int
 from .ktheory import KTheoryResult, k_groups
 from .matrices import MatrixPair
 
@@ -113,40 +113,36 @@ def _valuation(x: int, q: int) -> int:
     return e
 
 
-def fixed_point_escape(pair: MatrixPair) -> Verdict:
-    """Exact: Yes iff no power u(w)^l, l != 0, of a vertex unitary fixes a
-    whole cylinder.
+def fixed_point_escape(pair: MatrixPair, facts: matrices.GraphFacts) -> Verdict:
+    """Exact, under condition (E): Yes iff no power u(w)^l, l != 0, of a
+    vertex unitary fixes a whole cylinder.
 
     u(w)^l fixes a path from w iff its integrality trace l * prod B/A stays
-    integral along the path.  A zero B-entry on a support arc (i, j) zeroes
-    the trace, so u(i) fixes the cylinder [(i,j,1)].  Otherwise, for each
-    element q of a coprime basis of the nonzero A- and B-entries, the
-    exponent of q in the trace moves by v_q(B[i][j]) - v_q(A[i][j]) along
-    arc (i, j).  A vertex that reaches a closed walk of negative q-weight
-    escapes: pumping that walk drives any integer trace to a fraction.  A
-    vertex w that reaches no such walk for any q has finite least walk
-    weights d_q(w) <= 0, and u(w)^l with l = prod q^(-d_q(w)) fixes every
-    path from w.  Bellman-Ford from all vertices at once gives d_q; an arc
-    that still relaxes after N rounds starts at a vertex that reaches a
-    negative closed walk, and so does every vertex that reaches it.
+    integral along the path.  Under (E) no entry on the support is zero;
+    without it the pair is refused.  For each element q of a coprime basis
+    of those entries, the exponent of q in the trace moves by
+    v_q(B[i][j]) - v_q(A[i][j]) along arc (i, j).  A vertex that reaches a
+    closed walk of negative q-weight escapes: pumping that walk drives any
+    integer trace to a fraction.  A vertex w that reaches no such walk for
+    any q has finite least walk weights d_q(w) <= 0, and u(w)^l with
+    l = prod q^(-d_q(w)) fixes every path from w.  Bellman-Ford from all
+    vertices at once gives d_q (0 when no q-weight is negative, so that q
+    is skipped); an arc that still relaxes after N rounds starts in a
+    component that drains.  One pass over the components, sinks first,
+    marks as escaping each that drains or has an arc into an escaping one.
     """
+    if not facts.condition_e:
+        raise DomainError("the fixed-point escape assumes condition (E): B is zero on a support arc")
     arcs = [(i, j) for i, js in enumerate(pair.sections, 1) for j in js]
-    for i, j in arcs:
-        if pair.b_at(i, j) == 0:
-            return _no(
-                "fixed-cylinder",
-                f"u({i})^1 fixes the cylinder [({i},{j},1)]: B[{i}][{j}] = 0 zeroes the trace",
-            )
-    preds: dict[int, list[int]] = {v: [] for v in pair.vertices}
-    for i, j in arcs:
-        preds[j].append(i)
-    escaping: set[int] = set()
+    draining: set[int] = set()
     least: list[tuple[int, dict[int, int]]] = []
     for q in _coprime_basis(x for i, j in arcs for x in (pair.a_at(i, j), pair.b_at(i, j))):
         weighted = [
             (i, j, _valuation(pair.b_at(i, j), q) - _valuation(pair.a_at(i, j), q))
             for i, j in arcs
         ]
+        if min(w for i, j, w in weighted) >= 0:
+            continue
         d = dict.fromkeys(pair.vertices, 0)
         for _ in range(pair.n):
             changed = False
@@ -156,15 +152,12 @@ def fixed_point_escape(pair: MatrixPair) -> Verdict:
                     changed = True
             if not changed:
                 break
-        frontier = [i for i, j, w in weighted if d[j] + w < d[i]]
-        draining = set(frontier)
-        while frontier:
-            for u in preds[frontier.pop()]:
-                if u not in draining:
-                    draining.add(u)
-                    frontier.append(u)
-        escaping |= draining
+        draining.update(i for i, j, w in weighted if d[j] + w < d[i])
         least.append((q, d))
+    escaping: set[int] = set()
+    for members in facts.components:
+        if any(v in draining or not escaping.isdisjoint(pair.sections[v - 1]) for v in members):
+            escaping.update(members)
     stuck = [v for v in pair.vertices if v not in escaping]
     if not stuck:
         return _yes(
@@ -271,7 +264,7 @@ def analyze(pair: MatrixPair) -> AnalysisReport:
     fact comes from one pass; the escape verdict is computed only under
     conditions (E) and (L), the only place a verdict reads it."""
     facts = matrices.graph_facts(pair)
-    escape = fixed_point_escape(pair) if facts.condition_e and facts.condition_l else None
+    escape = fixed_point_escape(pair, facts) if facts.condition_e and facts.condition_l else None
     minimal = _bool_verdict(
         facts.cyclic_components == 1,
         "one-cyclic-component",

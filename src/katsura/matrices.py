@@ -144,6 +144,7 @@ class GraphFacts:
     condition_k: bool  # every vertex on a cycle is the base of two distinct cycles
     irreducible: bool  # a positive-length path joins every ordered pair of vertices
     cyclic_components: int  # strongly connected components with an internal arc
+    components: tuple[tuple[int, ...], ...]  # sinks first: an arc leads to its own or an earlier one
 
 
 def graph_facts(pair: MatrixPair) -> GraphFacts:
@@ -183,4 +184,5 @@ def graph_facts(pair: MatrixPair) -> GraphFacts:
         condition_k=condition_k,
         irreducible=len(components) == 1,
         cyclic_components=cyclic,
+        components=tuple(components),
     )

@@ -71,6 +71,46 @@ def cycle_with_chords(
     return MatrixPair.from_rows(a, b)
 
 
+def sparse_scc_pair(
+    rng: random.Random, n_min: int = 4, n_max: int = 14, a_max: int = 3, b_max: int = 3
+) -> MatrixPair:
+    """A valid pair with condition E whose strongly connected components
+    are known: the shuffled vertices are cut into up to 14 blocks, each
+    block is a cycle (a later one-vertex block may carry no loop), some
+    blocks get an inner chord, and every vertex of a later block may send,
+    and a loopless one must send, an arc into an earlier block.  No arc
+    runs from a block to a later one, so the blocks are the components."""
+    n = rng.randint(n_min, n_max)
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 13))))
+    blocks = [order[s:e] for s, e in zip([0] + cuts, cuts + [n])]
+    arcs: set[tuple[int, int]] = set()
+    for k, block in enumerate(blocks):
+        if len(block) > 1 or k == 0 or rng.random() < 0.5:
+            arcs |= {(block[t], block[(t + 1) % len(block)]) for t in range(len(block))}
+        if len(block) > 2 and rng.random() < 0.5:
+            arcs.add((rng.choice(block), rng.choice(block)))
+        earlier = [u for b in blocks[:k] for u in b]
+        for v in block:
+            if earlier and (rng.random() < 0.4 or all(i != v for i, _ in arcs)):
+                arcs.add((v, rng.choice(earlier)))
+    a = [[0] * n for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
+    for i, j in arcs:
+        a[i][j] = rng.randint(1, a_max)
+        b[i][j] = rng.choice([x for x in range(-b_max, b_max + 1) if x])
+    return MatrixPair.from_rows(a, b)
+
+
+def direct_sum(p: MatrixPair, q: MatrixPair) -> MatrixPair:
+    """The disjoint sum P + Q: Q's vertices are relabelled after P's."""
+    pad_p, pad_q = [0] * q.n, [0] * p.n
+    return MatrixPair.from_rows(
+        [list(row) + pad_p for row in p.a] + [pad_q + list(row) for row in q.a],
+        [list(row) + pad_p for row in p.b] + [pad_q + list(row) for row in q.b],
+    )
+
+
 def cycle_ratio_denominators(pair: MatrixPair) -> set[int]:
     """Denominators of the ratio products B/A around the simple cycles: the
     first exponents whose trace can stay integral around a loop."""

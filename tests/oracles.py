@@ -8,16 +8,18 @@ minimality, path counts in powers of A for local contractiveness, a
 transient vertex added upstream for the verdicts that must not see it,
 a plain matrix product for Smith witnesses, the Smith diagonal and a
 rank and determinant modulo a prime for the witness-free diagonal form,
-the integrality trace K_j = l . prod B/A term by term, a capped search of the trace's state graph for cylinders of fixed
-points, the oracle of `fixed_point_escape`, and the product of two partial
-isometries taken whole, the oracle of the factor-by-factor fold behind
-`multiply` and `parse_isg`.  A scan of cylinder depths up to a cap is the
-oracle of the one-depth `germ_equal`.  Divisibility in the semigroupoid,
-which the library never decides, is found by building the one candidate
-quotient and checking it through `compose`; the lcm tests rest on it.
-The generators s(i,j,n), u(v)^t and q(v) are built here from the normal
-form directly, as references for the parser, and `cokernel` reads a dense
-matrix's cokernel off the witness-free diagonal form.
+the integrality trace K_j = l . prod B/A term by term, a capped search of
+the trace's state graph for cylinders of fixed points, a backward search
+per coprime factor for the escape that `fixed_point_escape` reads off the
+components, and the product of two partial isometries taken whole, the
+oracle of the factor-by-factor fold behind `multiply` and `parse_isg`.  A
+scan of cylinder depths up to a cap is the oracle of the one-depth
+`germ_equal`.  Divisibility in the semigroupoid, which the library never
+decides, is found by building the one candidate quotient and checking it
+through `compose`; the lcm tests rest on it.  The generators s(i,j,n),
+u(v)^t and q(v) are built here from the normal form directly, as
+references for the parser, and `cokernel` reads a dense matrix's cokernel
+off the witness-free diagonal form.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from katsura.decisions import Reason, Verdict
-from katsura.errors import DomainError, StructuralError
+from katsura.decisions import Reason, Verdict, _coprime_basis, _no, _valuation, _yes
+from katsura.errors import DomainError, StructuralError, format_int
 from katsura.invsemigroup import (
     ZERO,
     ISgElement,
@@ -364,6 +366,73 @@ def katsura_classic_check(pair: MatrixPair) -> Verdict:
     return Verdict(
         "yes", (Reason("classic-conditions", "A irreducible, A[i][i] >= 2 and B[i][i] = 1 for all i"),)
     )
+
+
+def escape_by_predecessor_search(pair: MatrixPair) -> Verdict:
+    """The fixed-point escape with its own reachability: the oracle of
+    `fixed_point_escape`, which reads the components of `graph_facts`.
+
+    u(w)^l fixes a path from w iff its integrality trace l * prod B/A stays
+    integral along the path.  A zero B-entry on a support arc (i, j) zeroes
+    the trace, so u(i) fixes the cylinder [(i,j,1)].  Otherwise, for each
+    element q of a coprime basis of the nonzero A- and B-entries, the
+    exponent of q in the trace moves by v_q(B[i][j]) - v_q(A[i][j]) along
+    arc (i, j).  A vertex that reaches a closed walk of negative q-weight
+    escapes: pumping that walk drives any integer trace to a fraction.  A
+    vertex w that reaches no such walk for any q has finite least walk
+    weights d_q(w) <= 0, and u(w)^l with l = prod q^(-d_q(w)) fixes every
+    path from w.  Bellman-Ford from all vertices at once gives d_q; an arc
+    that still relaxes after N rounds starts at a vertex that reaches a
+    negative closed walk, and so does every vertex that reaches it, found
+    by a backward search over a predecessor map for each q.
+    """
+    arcs = [(i, j) for i, js in enumerate(pair.sections, 1) for j in js]
+    for i, j in arcs:
+        if pair.b_at(i, j) == 0:
+            return _no(
+                "fixed-cylinder",
+                f"u({i})^1 fixes the cylinder [({i},{j},1)]: B[{i}][{j}] = 0 zeroes the trace",
+            )
+    preds: dict[int, list[int]] = {v: [] for v in pair.vertices}
+    for i, j in arcs:
+        preds[j].append(i)
+    escaping: set[int] = set()
+    least: list[tuple[int, dict[int, int]]] = []
+    for q in _coprime_basis(x for i, j in arcs for x in (pair.a_at(i, j), pair.b_at(i, j))):
+        weighted = [
+            (i, j, _valuation(pair.b_at(i, j), q) - _valuation(pair.a_at(i, j), q))
+            for i, j in arcs
+        ]
+        d = dict.fromkeys(pair.vertices, 0)
+        for _ in range(pair.n):
+            changed = False
+            for i, j, w in weighted:
+                if d[j] + w < d[i]:
+                    d[i] = d[j] + w
+                    changed = True
+            if not changed:
+                break
+        frontier = [i for i, j, w in weighted if d[j] + w < d[i]]
+        draining = set(frontier)
+        while frontier:
+            for u in preds[frontier.pop()]:
+                if u not in draining:
+                    draining.add(u)
+                    frontier.append(u)
+        escaping |= draining
+        least.append((q, d))
+    stuck = [v for v in pair.vertices if v not in escaping]
+    if not stuck:
+        return _yes(
+            "valuation-escape",
+            "every vertex reaches a closed walk along which some coprime factor's"
+            " exponent in the product B/A is negative",
+        )
+    w = stuck[0]
+    l = 1
+    for q, d in least:
+        l *= q ** -d[w]
+    return _no("fixed-cylinder", f"u({w})^{format_int(l)} fixes the whole cylinder of vertex {w}")
 
 
 def integrality_trace(

@@ -309,7 +309,7 @@ def test_criterion_08_essential_principality_bridge():
     while seen < 50:
         pair = random_pair(rng, n_max=3, a_max=3, ensure_e=True)
         seen += 1
-        escape = fixed_point_escape(pair)
+        escape = fixed_point_escape(pair, graph_facts(pair))
         assert escape.value in ("yes", "no")
         if escape.value == "yes":
             # the exact Yes survives a bounded search from every vertex

@@ -2,15 +2,23 @@ import random
 
 import pytest
 
-from katsura.decisions import Verdict, analyze, fixed_point_escape
+from katsura.decisions import Reason, Verdict, analyze, fixed_point_escape
 from katsura import cli, ktheory, matrices
-from katsura.errors import StructuralError
+from katsura.errors import DomainError, StructuralError
 from katsura.matrices import MatrixPair, graph_facts
 
-from conftest import cycle_ratio_denominators, escape_witness, random_pair
+from conftest import (
+    cycle_ratio_denominators,
+    cycle_with_chords,
+    direct_sum,
+    escape_witness,
+    random_pair,
+    sparse_scc_pair,
+)
 from oracles import (
     add_transient_vertex,
     contraction_by_path_counts,
+    escape_by_predecessor_search,
     has_fixed_cylinder,
     has_proper_hereditary_saturated_set,
     katsura_classic_check,
@@ -204,8 +212,9 @@ class TestAnalyze:
 
     def test_each_fact_computed_once(self, monkeypatch, tmp_path, capsys):
         # one diagonal form per matrix, no witness-carrying Smith form, one
-        # SCC pass, and no validity check beyond the one that builds the pair
-        calls = {"diagonal": 0, "smith": 0, "scc": 0, "check": 0}
+        # graph-facts call and in it one SCC pass, which the escape reads,
+        # and no validity check beyond the one that builds the pair
+        calls = {"diagonal": 0, "smith": 0, "facts": 0, "scc": 0, "check": 0}
 
         def counting(key, fn):
             def wrapper(*args):
@@ -221,16 +230,17 @@ class TestAnalyze:
             "strongly_connected_components",
             counting("scc", matrices.strongly_connected_components),
         )
+        monkeypatch.setattr(matrices, "graph_facts", counting("facts", matrices.graph_facts))
         monkeypatch.setattr(MatrixPair, "__post_init__", counting("check", MatrixPair.__post_init__))
         rep = analyze(E1)
         assert rep.topologically_free.value == "yes"  # the escape verdict was computed
-        assert calls == {"diagonal": 2, "smith": 0, "scc": 1, "check": 0}
+        assert calls == {"diagonal": 2, "smith": 0, "facts": 1, "scc": 1, "check": 0}
 
         path = tmp_path / "pair.json"
         path.write_text('{"N": 2, "A": [[2, 1], [1, 2]], "B": [[1, 1], [1, 1]]}')
         assert cli.main(["analyze", str(path)]) == 0
         assert "topologically_free       yes" in capsys.readouterr().out
-        assert calls == {"diagonal": 4, "smith": 0, "scc": 2, "check": 1}
+        assert calls == {"diagonal": 4, "smith": 0, "facts": 2, "scc": 2, "check": 1}
 
     def test_deterministic_for_fixed_caps(self):
         rng = random.Random(73)
@@ -247,7 +257,7 @@ class TestProbes:
         checked = 0
         for _ in range(50):
             pair = random_pair(rng, n_max=3, a_max=2, ensure_e=True)
-            if fixed_point_escape(pair).value != "yes":
+            if fixed_point_escape(pair, graph_facts(pair)).value != "yes":
                 continue
             checked += 1
             if graph_facts(pair).condition_l:
@@ -264,7 +274,7 @@ class TestProbes:
         confirmed = named = 0
         for _ in range(80):
             pair = random_pair(rng, n_max=3, a_max=3, ensure_e=True)
-            verdict = fixed_point_escape(pair)
+            verdict = fixed_point_escape(pair, graph_facts(pair))
             assert verdict.value in ("yes", "no")
             if verdict.value != "no":
                 continue
@@ -275,18 +285,19 @@ class TestProbes:
             confirmed += result == "yes"
         assert named >= 10 and confirmed >= 0.9 * named
 
-    def test_zero_b_entry_names_its_arc(self):
+    def test_zero_b_entry_is_refused(self):
+        # the escape is decided under condition (E); a zero B-entry has no
+        # valuation, and u(1) fixes the cylinder [(1,2,1)] trivially
         pair = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 0], [1, 1]])
-        verdict = fixed_point_escape(pair)
-        assert verdict.value == "no" and "[(1,2,1)]" in verdict.reasons[0].text
-        assert escape_witness(verdict) == (1, 1)
+        with pytest.raises(DomainError):
+            fixed_point_escape(pair, graph_facts(pair))
         assert has_fixed_cylinder(pair, 1, 1).value == "yes"
 
     def test_entry_basis_sees_cancelling_ratios(self):
         # A = 6 on a 2-cycle, B = 4 and 9: the ratio product is 1, so some
         # power fixes everything, though 6 alone divides neither B-entry
         pair = MatrixPair.from_rows([[0, 6], [6, 0]], [[0, 4], [9, 0]])
-        verdict = fixed_point_escape(pair)
+        verdict = fixed_point_escape(pair, graph_facts(pair))
         assert verdict.value == "no"
         w, l = escape_witness(verdict)
         assert has_fixed_cylinder(pair, w, l).value == "yes"
@@ -302,7 +313,7 @@ class TestProbes:
             a[i][i + 1], b[i][i + 1] = 2, 1
         a[k - 1][k - 1] = b[k - 1][k - 1] = 1
         pair = MatrixPair.from_rows(a, b)
-        assert escape_witness(fixed_point_escape(pair)) == (1, 16)
+        assert escape_witness(fixed_point_escape(pair, graph_facts(pair))) == (1, 16)
         assert has_fixed_cylinder(pair, 1, 16).value == "yes"
         assert has_fixed_cylinder(pair, 1, 8).value == "no"
 
@@ -312,8 +323,89 @@ class TestProbes:
             pair = random_pair(rng, n_max=3, a_max=2, ensure_e=True)
             if not graph_facts(pair).condition_l:
                 continue
-            if fixed_point_escape(pair).value == "no":
+            if fixed_point_escape(pair, graph_facts(pair)).value == "no":
                 assert analyze(pair).topologically_free.value == "no"
+
+
+def escape_pairs(rng):
+    """Seeded pairs with condition E for the escape: dense ones, sparse ones
+    with up to 14 components, a transient vertex upstream, disjoint sums,
+    entries in the tens, and cycles with chords."""
+    for _ in range(1200):
+        yield random_pair(rng, n_max=6, ensure_e=True)
+    for _ in range(800):
+        yield sparse_scc_pair(rng, a_max=rng.choice((3, 12)), b_max=rng.choice((3, 30)))
+    for _ in range(400):
+        yield add_transient_vertex(rng, random_pair(rng, n_max=5, ensure_e=True))
+    for _ in range(400):
+        yield direct_sum(random_pair(rng, n_max=4, ensure_e=True), sparse_scc_pair(rng, 2, 6))
+    for _ in range(400):
+        yield random_pair(rng, n_max=5, a_max=40, b_max=40, ensure_e=True)
+    for n in range(16, 56, 2):
+        yield cycle_with_chords(rng, n, n // 8, 4)
+
+
+def escape(pair):
+    return fixed_point_escape(pair, graph_facts(pair))
+
+
+def fixed_cylinder(w, l):
+    return Verdict("no", (Reason("fixed-cylinder", f"u({w})^{l} fixes the whole cylinder of vertex {w}"),))
+
+
+PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def scale_arc(rng, pair):
+    """The pair with A and B multiplied on one support arc by the same
+    prime, one that divides no entry of the pair."""
+    entries = [x for row in pair.a + pair.b for x in row if x]
+    p = rng.choice([p for p in PRIMES if all(x % p for x in entries)])
+    i = rng.choice(pair.vertices)
+    j = rng.choice(pair.out_vertices(i))
+    a, b = [list(row) for row in pair.a], [list(row) for row in pair.b]
+    a[i - 1][j - 1] *= p
+    b[i - 1][j - 1] *= p
+    return MatrixPair.from_rows(a, b)
+
+
+class TestEscapeAgainstOracle:
+    def test_value_and_text_match_predecessor_search(self):
+        # the oracle builds its own predecessor map and searches backwards
+        # per factor; the escape reads the components once
+        seen = {"yes": 0, "no": 0}
+        for pair in escape_pairs(random.Random(39)):
+            verdict = escape(pair)
+            assert verdict == escape_by_predecessor_search(pair), pair
+            seen[verdict.value] += 1
+        assert sum(seen.values()) >= 3000 and min(seen.values()) >= 600, seen
+
+    def test_arc_scaled_by_a_fresh_prime(self):
+        # the new factor has weight 0 on every arc, so it changes no least
+        # walk weight, and w and l stay the same
+        rng = random.Random(40)
+        checked = 0
+        for pair in escape_pairs(random.Random(40)):
+            assert escape(scale_arc(rng, pair)) == escape(pair), pair
+            checked += 1
+        assert checked >= 1000
+
+    def test_disjoint_sum(self):
+        # P + Q escapes iff both do; otherwise the smallest stuck vertex is
+        # P's, or Q's shifted by |P|, with the same power
+        pairs = escape_pairs(random.Random(41))
+        checked = 0
+        for p, q in zip(pairs, pairs):
+            vp, vq, total = escape(p), escape(q), escape(direct_sum(p, q))
+            if vp.is_no:
+                assert total == vp, (p, q)
+            elif vq.is_no:
+                w, l = escape_witness(vq)
+                assert total == fixed_cylinder(w + p.n, l), (p, q)
+            else:
+                assert total == vp, (p, q)
+            checked += 1
+        assert checked >= 1000
 
 
 def long_cycle(n, chord=False):
@@ -340,11 +432,11 @@ class TestLongCycle:
         facts = graph_facts(pair)
         assert facts.irreducible
         assert not facts.condition_k
-        assert escape_witness(fixed_point_escape(pair)) == (1, 1)
+        assert escape_witness(fixed_point_escape(pair, facts)) == (1, 1)
 
     def test_with_chord(self):
         pair = long_cycle(self.N, chord=True)
         facts = graph_facts(pair)
         assert facts.irreducible
         assert facts.condition_k
-        assert fixed_point_escape(pair).value == "yes"
+        assert fixed_point_escape(pair, facts).value == "yes"

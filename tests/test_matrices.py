@@ -6,7 +6,7 @@ import pytest
 from katsura.errors import StructuralError
 from katsura.matrices import MatrixPair, graph_facts, strongly_connected_components
 
-from conftest import random_pair
+from conftest import random_pair, sparse_scc_pair
 from oracles import Cycle, enumerate_simple_cycles, is_transitory, simple_vertex_cycles
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
@@ -233,6 +233,19 @@ class TestIrreducible:
                 for j in pair.vertices:
                     mutual = i == j or (reach[i - 1][j - 1] and reach[j - 1][i - 1])
                     assert (component[i] == component[j]) == mutual
+
+    def test_components_listed_sinks_first(self):
+        # every support arc leads into its own component or an earlier one,
+        # the order in which the fixed-point escape propagates escaping
+        rng = random.Random(18)
+        for _ in range(300):
+            pair = sparse_scc_pair(rng) if rng.random() < 0.5 else random_pair(rng, n_max=6, a_max=2)
+            components = graph_facts(pair).components
+            assert list(components) == strongly_connected_components(pair)
+            position = {v: c for c, members in enumerate(components) for v in members}
+            for i in pair.vertices:
+                for j in pair.out_vertices(i):
+                    assert position[j] <= position[i], (pair, i, j)
 
 
 def oracle_condition_l(pair):
