@@ -308,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("path")
     p.add_argument("file")
-    p.add_argument("--depth", type=_depth, default=16)
+    p.add_argument(
+        "--depth", type=_depth, default=16, help="letters of the image to print; applies only to PRE ~ PER points"
+    )
     p.set_defaults(func=_cmd_act)
 
     p = sub.add_parser("fixedpoint", help="prefix of the unique fixed point of an element")

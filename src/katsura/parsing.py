@@ -40,7 +40,7 @@ from .errors import (
 )
 from .invsemigroup import Factor, ISgElement, PathWord, Zero
 from .ktheory import AbelianGroup, abelian_group
-from .matrices import MatrixPair
+from .matrices import Edge, MatrixPair
 from .pathspace import EventuallyPeriodicPath, eventually_periodic
 
 
@@ -406,20 +406,16 @@ def is_periodic_literal(text: str) -> bool:
     return "~" in text
 
 
+def _edge_list(edges: tuple[Edge, ...]) -> str:
+    return "[" + ", ".join(f"({i},{j},{n})" for i, j, n in edges) + "]"
+
+
 def format_finite_path(p: PathWord) -> str:
-    if not p.edges:
-        return f"[]@{p.base}"
-    return "[" + ", ".join(f"({i},{j},{n})" for i, j, n in p.edges) + "]"
+    return _edge_list(p.edges) if p.edges else f"[]@{p.base}"
 
 
 def format_periodic_path(x: EventuallyPeriodicPath) -> str:
-    pre = (
-        "[" + ", ".join(f"({i},{j},{n})" for i, j, n in x.preperiod.edges) + "]"
-        if x.preperiod.edges
-        else "[]"
-    )
-    per = "[" + ", ".join(f"({i},{j},{n})" for i, j, n in x.period.edges) + "]"
-    return f"{pre} ~ {per}"
+    return f"{_edge_list(x.preperiod.edges)} ~ {_edge_list(x.period.edges)}"
 
 
 # -- abelian group expressions --------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DepthCapExceeded, DomainError, StructuralError
-from .invsemigroup import ISgElement, PathWord, Zero, is_idempotent, is_prefix, push_unitary
+from .invsemigroup import ISgElement, PathWord, Zero, is_idempotent, is_prefix, push_unitary, star
 from .matrices import Edge, MatrixPair
 
 
@@ -25,10 +25,6 @@ class EventuallyPeriodicPath:
 
     preperiod: PathWord
     period: PathWord
-
-    @property
-    def source(self) -> int:
-        return self.preperiod.source
 
     def unfold(self, depth: int) -> PathWord:
         edges = list(self.preperiod.edges)
@@ -167,22 +163,22 @@ def generate_fixed_point(
 ) -> PathWord | None:
     """Prefix of the unique fixed point of s, when it has one.
 
-    s reduces to a cycle-with-exponent by cancelling the shorter of its two
-    path words; iterating the carry propagation around the cycle emits the
-    fixed point letter by letter.  None when the two path words are
-    incompatible or no cycle part remains.
+    When the adjoint word J of s = s_K u^t s_J* is a proper prefix of K,
+    s is s_J s_c u^t s_J* for a cycle c; iterating the carry propagation
+    around the cycle emits the fixed point letter by letter.  s and s* act
+    by mutually inverse partial maps, so they fix the same points, and s*
+    answers when K is a proper prefix of J.  None when the two path words
+    are incompatible or no cycle part remains.
     """
     if isinstance(s, Zero) or is_idempotent(s):
         raise DomainError("fixed points of idempotents and zero are not unique")
     left, right = s.left, s.right
-    if is_prefix(right, left) and len(left) > len(right):
-        cycle = left.edges[len(right.edges):]
-        t = s.exponent
-    elif is_prefix(left, right) and len(right) > len(left):
-        rest = right.edges[len(left.edges):]
-        cycle, t = push_unitary(pair, left.target, -s.exponent, rest)
-    else:
-        return None  # adjoint and path word collide, or a pure unitary power
+    if len(right) > len(left) and is_prefix(left, right):
+        return generate_fixed_point(pair, star(s), depth)
+    if len(left) <= len(right) or not is_prefix(right, left):
+        return None
+    cycle = left.edges[len(right.edges):]
+    t = s.exponent
     out = list(right.edges)
     vertex = right.target
     block = cycle

@@ -143,38 +143,23 @@ def compose(pair: MatrixPair, f: SgpElement, gel: SgpElement) -> SgpElement | No
     return GWord(head + body + ((i, j, n + carry * pair.b_at(i, j)),))
 
 
-def intersects(pair: MatrixPair, f: SgpElement, gel: SgpElement) -> bool:
-    """Whether f and gel admit a common multiple."""
+def lcm(pair: MatrixPair, f: SgpElement, gel: SgpElement) -> SgpElement | None:
+    """The unique least common multiple of f and gel; None when they are
+    disjoint, that is, have no common multiple."""
     if isinstance(f, HPower) and isinstance(gel, HPower):
-        return f.vertex == gel.vertex
+        return HPower(f.vertex, max(f.exponent, gel.exponent)) if f.vertex == gel.vertex else None
     if isinstance(f, HPower):
-        return gel.source == f.vertex
+        return gel if gel.source == f.vertex else None
     if isinstance(gel, HPower):
-        return f.source == gel.vertex
-    # the shorter word agrees with the longer one on every letter but its
-    # last, which has the same arc and an offset congruent mod A
+        return f if f.source == gel.vertex else None
+    # two g-words intersect iff the shorter agrees with the longer on every
+    # letter but its last, which has the same arc and an offset congruent
+    # mod A; then the longer word, or at equal length the larger final
+    # offset, is the lcm
     short, long_ = (f, gel) if len(f) <= len(gel) else (gel, f)
     k = len(short)
     i, j, n = short.edges[-1]
     i2, j2, m = long_.edges[k - 1]
-    return (
-        short.edges[:-1] == long_.edges[: k - 1]
-        and (i, j) == (i2, j2)
-        and (m - n) % pair.a_at(i, j) == 0
-    )
-
-
-def lcm(pair: MatrixPair, f: SgpElement, gel: SgpElement) -> SgpElement | None:
-    """The unique least common multiple of an intersecting pair; None if disjoint."""
-    if not intersects(pair, f, gel):
+    if short.edges[:-1] != long_.edges[: k - 1] or (i, j) != (i2, j2) or (m - n) % pair.a_at(i, j):
         return None
-    if isinstance(f, HPower) and isinstance(gel, HPower):
-        return HPower(f.vertex, max(f.exponent, gel.exponent))
-    if isinstance(f, HPower):
-        return gel
-    if isinstance(gel, HPower):
-        return f
-    if len(f) != len(gel):
-        return f if len(f) > len(gel) else gel
-    # equal length and congruent finals: the larger final offset wins
-    return f if f.edges[-1][2] >= gel.edges[-1][2] else gel
+    return long_ if len(long_) > k or m >= n else short

@@ -25,7 +25,7 @@ from katsura.pathspace import (
     germ_equal,
     image_point,
 )
-from katsura.semigroupoid import GWord, HPower, compose, intersects, lcm, standard_form, target
+from katsura.semigroupoid import GWord, HPower, compose, lcm, standard_form, target
 
 from conftest import (
     cycle_ratio_denominators,
@@ -164,27 +164,32 @@ def _common_multiples(pair, f, w, max_extra):
 def test_criterion_04_lcm_oracle():
     rng = random.Random(104)
     start_time = time.monotonic()
-    checked = 0
+    checked = disjoint = 0
     while checked < 500:
         pair = random_pair(rng, n_max=3, a_max=2)
         base_vertex = rng.choice(list(pair.vertices))
         m0 = random_walk(rng, pair, base_vertex, rng.randint(1, 4))
 
         def cut(edges):
+            # a final offset moved off its class mod A makes the cuts disjoint
+            # unless the other cut is longer
             if rng.random() < 0.15:
                 return HPower(edges[0][0], rng.randint(1, 3))
             k = rng.randint(1, len(edges))
             prefix = list(edges[:k])
             i, j, n = prefix[-1]
-            prefix[-1] = (i, j, n + pair.a_at(i, j) * rng.randint(-2, 2))
+            a = pair.a_at(i, j)
+            prefix[-1] = (i, j, n + rng.randint(-2 * a, 2 * a))
             return GWord(tuple(prefix))
 
         f, w = cut(m0), cut(m0)
-        if not intersects(pair, f, w):
+        m = lcm(pair, f, w)
+        if m is None:
+            # disjoint: the bounded search finds no common multiple either
+            assert not _common_multiples(pair, f, w, max_extra=2), (f, w)
+            disjoint += 1
             continue
         checked += 1
-        m = lcm(pair, f, w)
-        assert m is not None
         assert divides_by_witness(pair, f, m) and divides_by_witness(pair, w, m)
         family = _common_multiples(pair, f, w, max_extra=2)
         # m is in the enumerated family and divides every member, which pins
@@ -192,9 +197,13 @@ def test_criterion_04_lcm_oracle():
         assert m in family, (f, w, m)
         for cm in family:
             assert divides_by_witness(pair, m, cm), (f, w, m, cm)
+    assert disjoint >= 50
     elapsed = time.monotonic() - start_time
     assert elapsed < 30.0
-    print(f"\nACCEPTANCE 4: PASS - 500 intersecting pairs match the brute-force lcm ({elapsed:.1f}s)")
+    print(
+        f"\nACCEPTANCE 4: PASS - 500 intersecting pairs match the brute-force lcm, "
+        f"and {disjoint} disjoint pairs have no common multiple ({elapsed:.1f}s)"
+    )
 
 
 def test_criterion_05_inverse_semigroup_axioms():
@@ -283,7 +292,7 @@ def test_criterion_07_fixed_point_laws():
             # the residual grows as c^k, so the image is read off a prefix
             # covering the preperiod and three period copies
             depth = len(x.preperiod) + 3 * len(x.period)
-            assert act_on_periodic(pair, unitary(pair, x.source, c), x, depth) == x.unfold(depth)
+            assert act_on_periodic(pair, unitary(pair, x.preperiod.base, c), x, depth) == x.unfold(depth)
     # (c) generated fixed points really are fixed to depth 20
     verified = 0
     while verified < 100:
@@ -444,7 +453,7 @@ def test_criterion_11_groupoid_laws():
         # has the germ of the vertex projection there
         range_unit, source_unit = multiply(pair, s, star(s)), multiply(pair, star(s), s)
         for unit, point in ((range_unit, y), (source_unit, x)):
-            assert germ_equal(pair, unit, projection_q(pair, point.source), point) == "equal"
+            assert germ_equal(pair, unit, projection_q(pair, point.preperiod.base), point) == "equal"
         # unit composes trivially: [ss*, y] . [s, x] = [ss*s, x] = [s, x]
         assert germ_equal(pair, multiply(pair, range_unit, s), s, x) == "equal"
     assert checked >= 120

@@ -95,9 +95,9 @@ def analyze_rows(workdir: Path) -> list[str]:
             tags = [v["reasons"][0]["tag"] if v["reasons"] else "-" for v in verdicts]
             for tag in tags:
                 codes.setdefault(tag, TAG_CODES[len(codes)])
-            tags = "".join(codes[tag] for tag in tags)
+            spelled = "".join(codes[tag] for tag in tags)
             k0, k1 = doc["kgroups"]["k0"], doc["kgroups"]["k1"]
-            rows.append(f"{family} {k:04d} {letters} {tags} | {k0} | {k1} | {_digest(out)}")
+            rows.append(f"{family} {k:04d} {letters} {spelled} | {k0} | {k1} | {_digest(out)}")
     return [f"# tag {c} {tag}" for tag, c in codes.items()] + rows
 
 

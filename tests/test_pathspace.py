@@ -8,6 +8,7 @@ from katsura.errors import DomainError, StructuralError
 from katsura.invsemigroup import (
     PathWord,
     ZERO,
+    is_idempotent,
     is_prefix,
     multiply,
     push_unitary,
@@ -34,6 +35,7 @@ from oracles import (
     generator_s,
     has_fixed_cylinder,
     integrality_trace,
+    pairwise_multiply,
     projection_q,
     unitary,
 )
@@ -228,6 +230,45 @@ class TestGenerateFixedPoint:
             verified += 1
         assert verified > 100
 
+    def test_adjoint_has_the_same_fixed_point(self):
+        # s and s* act by mutually inverse partial maps, so Fix(s) = Fix(s*)
+        rng = random.Random(45)
+        seen = Counter()
+        for _ in range(1500):
+            # B-entries in -1..1 leave zero B-rows often
+            pair = random_pair(rng, n_max=3, a_max=3, b_max=rng.choice((1, 3)))
+            s = _random_cycle_element(rng, pair) if rng.random() < 0.7 else random_isg(rng, pair, max_len=3)
+            if s is None or is_idempotent(s):
+                continue
+            if rng.random() < 0.5:
+                s = star(s)
+            depth = rng.randint(0, 30)
+            omega = generate_fixed_point(pair, s, depth)
+            assert omega == generate_fixed_point(pair, star(s), depth)
+            seen[len(s.left) < len(s.right), omega is not None, bool(pair.zero_b_rows)] += 1
+        # both word shapes, with and without a fixed point, with and without
+        # zero B-rows
+        assert len(seen) == 8 and min(seen.values()) >= 10
+
+    def test_left_word_a_prefix_of_the_adjoint_word(self):
+        # s = s_K u^t s_J* with K a proper prefix of J: s times the cylinder
+        # projection of its fixed point, a product taken whole by the oracle,
+        # maps the point's cylinder onto a prefix of the point itself
+        rng = random.Random(46)
+        verified = zero_rows = 0
+        while verified < 300:
+            pair = random_pair(rng, n_max=3, a_max=3, b_max=rng.choice((1, 3)))
+            s = _random_cycle_element(rng, pair)
+            if s is None:
+                continue
+            s = star(s)
+            omega = generate_fixed_point(pair, s, 20 + len(s.right))
+            image = pairwise_multiply(pair, s, triple(pair, omega, 0, omega)).left
+            assert len(image) >= 20 and image.edges == omega.edges[: len(image)]
+            verified += 1
+            zero_rows += bool(pair.zero_b_rows)
+        assert zero_rows >= 30
+
 
 def _random_cycle_element(rng, pair):
     """s_J s_K u^t s_J^* style elements whose fixed point is unique."""
@@ -273,7 +314,7 @@ class TestIntegralityTrace:
             pair = random_pair(rng, n_max=3, a_max=3)
             x = _random_point(rng, pair)
             l = rng.randint(-5, 5)
-            image = act_on_periodic(pair, unitary(pair, x.source, l), x, 50)
+            image = act_on_periodic(pair, unitary(pair, x.preperiod.base, l), x, 50)
             sampled = integrality_trace(pair, l, x.unfold(50).edges)
             assert (image == x.unfold(50)) == all(k.denominator == 1 for k in sampled)
 

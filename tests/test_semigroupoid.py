@@ -4,7 +4,7 @@ import pytest
 
 from katsura.errors import CompositionError, DomainError
 from katsura.matrices import MatrixPair
-from katsura.semigroupoid import GWord, HAtom, HPower, compose, intersects, lcm, source, standard_form, target
+from katsura.semigroupoid import GWord, HAtom, HPower, compose, lcm, source, standard_form, target
 
 from conftest import random_pair, random_raw_word, random_sgp
 from oracles import divides_by_witness
@@ -173,10 +173,10 @@ class TestCompose:
 
 class TestDivisibility:
     def test_congruent_offsets_intersect(self):
-        assert intersects(E1, GWord(((1, 1, 1),)), GWord(((1, 1, 3),)))
+        assert lcm(E1, GWord(((1, 1, 1),)), GWord(((1, 1, 3),))) is not None
 
     def test_incongruent_offsets_disjoint(self):
-        assert not intersects(E1, GWord(((1, 1, 1),)), GWord(((1, 1, 2),)))
+        assert lcm(E1, GWord(((1, 1, 1),)), GWord(((1, 1, 2),))) is None
 
     def test_divides_matches_witness_search(self):
         # the quotient oracle the lcm tests rest on, against a bounded search
@@ -228,11 +228,12 @@ class TestLcm:
             pair = random_pair(rng, n_max=3, a_max=2)
             f = random_sgp(rng, pair, max_len=3)
             w = random_sgp(rng, pair, max_len=3)
-            if not intersects(pair, f, w):
-                assert lcm(pair, f, w) is None
+            m = lcm(pair, f, w)
+            if m is None:
+                # disjoint: the bounded search finds no common multiple either
+                assert not _bounded_common_multiples(pair, f, w, max_extra=2)
                 continue
             hits += 1
-            m = lcm(pair, f, w)
             assert divides_by_witness(pair, f, m) and divides_by_witness(pair, w, m)
             for cm in _bounded_common_multiples(pair, f, w, max_extra=2):
                 assert divides_by_witness(pair, m, cm)
