@@ -5,9 +5,10 @@ regenerated and compared line by line.
 index of the pair, the first letter of each of the 14 verdicts, the first tag
 of each verdict, K0, K1 and a 12-hex digest of the whole JSON text.
 `golden/elements.txt` holds one row per element call (`lcm`, `mul` on g/h
-words, `fixedpoint` on both word shapes, `act` on a periodic point): the
-command, its index, the exit code and a digest of stdout, stderr and the exit
-code together.
+words, `fixedpoint` on both word shapes, `act` on a periodic point, then
+`normalize` on g/h and s/u/q texts, `act` on a finite path and `germ-eq`,
+refused inputs among them): the command, its index, the exit code and a
+digest of stdout, stderr and the exit code together.
 
 No pair is stored: each family is drawn from its own seed.  A change that
 alters an answer rewrites the tables in the same commit, so the diff names
@@ -224,17 +225,104 @@ def element_calls(rng: random.Random, pair: MatrixPair, path: str) -> list[tuple
     return calls
 
 
+def _faulty_isg_text(rng: random.Random, pair: MatrixPair) -> str:
+    """An s/u/q text the CLI refuses: a vertex out of range, an arc off the
+    support, a cut-off text or a stray character."""
+    v = rng.choice(pair.vertices)
+    text = _random_isg_text(rng, pair)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return f"{text}.u({pair.n + 1})"
+    if kind == 1:
+        off = [j for j in pair.vertices if pair.a_at(v, j) == 0]
+        return f"s({v},{off[0]},1)" if off else f"s({v},{v},{pair.a_at(v, v) + 1})"
+    if kind == 2:
+        return text[: rng.randrange(1, len(text))] if len(text) > 1 else "s(1"
+    return text + rng.choice(("..", ")", "^", "*", " ~"))
+
+
+def _adjoint_on_point(rng: random.Random, pair: MatrixPair, pre: tuple, per: tuple) -> tuple[tuple, tuple, int]:
+    """A left word, an adjoint word that is a prefix of the point, and their
+    common vertex: an element whose domain holds the point."""
+    unfolded = list(pre)
+    while len(unfolded) < 4:
+        unfolded += per
+    right = tuple(unfolded[: rng.randint(0, 4)])
+    target = right[-1][1] if right else (pre[0][0] if pre else per[0][0])
+    return random_backward_walk(rng, pair, target, rng.randint(0, 3)), right, target
+
+
+def gap_calls(rng: random.Random, pair: MatrixPair, path: str) -> list[tuple[str, list[str]]]:
+    """`normalize` on g/h and s/u/q texts, `act` on a finite path and
+    `germ-eq`, with refused inputs among them."""
+    calls = []
+    for _ in range(2):
+        kind = rng.randrange(6)
+        if kind == 0:
+            expr = _sgp_text(rng, pair, rng.choice(pair.vertices))[0]
+        elif kind == 1:
+            expr = _random_isg_text(rng, pair)
+        elif kind == 2:
+            expr = f"{_random_isg_text(rng, pair)}.{_random_isg_text(rng, pair)}"
+        elif kind == 3:
+            expr = _faulty_sgp_text(rng, pair)
+        elif kind == 4:
+            expr = _faulty_isg_text(rng, pair)
+        else:
+            expr = f"({_random_isg_text(rng, pair)})*.{_random_isg_text(rng, pair)}"
+        calls.append(("normalize", ["normalize", expr, path]))
+    for _ in range(2):
+        word = random_path_word(rng, pair, 5)
+        gamma = word.edges
+        text = _path_text(gamma) if gamma else f"[]@{word.base}"
+        if rng.random() < 0.1:
+            text = _path_text(gamma + ((pair.n + 1, 1, 1),))
+        if rng.random() < 0.4 or not gamma:
+            expr = _random_isg_text(rng, pair)
+        else:
+            # an adjoint word that is a prefix of gamma, or that gamma is a prefix of
+            cut = rng.randint(0, len(gamma) + 1)
+            right = gamma[:cut] if cut <= len(gamma) else gamma + random_walk(rng, pair, gamma[-1][1], 1)
+            target = right[-1][1] if right else gamma[0][0]
+            left = random_backward_walk(rng, pair, target, rng.randint(0, 3))
+            expr = _isg_text(left, rng.randint(-4, 4), right, target)
+        calls.append(("act", ["act", expr, text, path]))
+    point = _point(rng, pair)
+    if point is not None:
+        pre, per = point
+        at = f"{_path_text(pre)} ~ {_path_text(per)}"
+        left, right, v = _adjoint_on_point(rng, pair, pre, per)
+        t = rng.randint(-4, 4)
+        s = _isg_text(left, t, right, v)
+        kind = rng.randrange(5)
+        if kind == 0:  # s times a cylinder projection along the point: the same germ
+            cyl = _adjoint_on_point(rng, pair, pre, per)[1]
+            other = f"{s}.{_isg_text(cyl, 0, cyl, cyl[-1][1] if cyl else v)}" if cyl else s
+        elif kind == 1:  # another exponent on the same words
+            other = _isg_text(left, t + rng.choice((-2, -1, 1, 2)), right, v)
+        elif kind == 2:
+            left2, right2, v2 = _adjoint_on_point(rng, pair, pre, per)
+            other = _isg_text(left2, rng.randint(-4, 4), right2, v2)
+        elif kind == 3:  # mostly outside the point's domain
+            other = _random_isg_text(rng, pair)
+        else:
+            other = rng.choice(("0", _faulty_isg_text(rng, pair)))
+        calls.append(("germ-eq", ["germ-eq", s, other, path, "--at", at]))
+    return calls
+
+
 def element_rows(workdir: Path) -> list[str]:
     rows = []
     path = workdir / "pair.json"
-    rng = random.Random(4100)
     counts: dict[str, int] = {}
-    for _ in range(250):
-        pair = random_pair(rng, n_max=3, ensure_e=rng.random() < 0.5)
-        for command, argv in element_calls(rng, pair, _write_pair(path, pair)):
-            code, out, err = _run(argv)
-            k = counts[command] = counts.get(command, -1) + 1
-            rows.append(f"{command} {k:04d} {code} {_digest(chr(0).join((out, err, str(code))))}")
+    for seed, count, calls in ((4100, 250, element_calls), (4200, 120, gap_calls)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            pair = random_pair(rng, n_max=3, ensure_e=rng.random() < 0.5)
+            for command, argv in calls(rng, pair, _write_pair(path, pair)):
+                code, out, err = _run(argv)
+                k = counts[command] = counts.get(command, -1) + 1
+                rows.append(f"{command} {k:04d} {code} {_digest(chr(0).join((out, err, str(code))))}")
     return rows
 
 
