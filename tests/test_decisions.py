@@ -408,6 +408,44 @@ class TestEscapeAgainstOracle:
         assert checked >= 1000
 
 
+def relabel(pair: MatrixPair, perm: list[int]) -> MatrixPair:
+    """The pair with vertex perm[k] + 1 renamed k + 1."""
+    return MatrixPair.from_rows(
+        [[pair.a[i][j] for j in perm] for i in perm], [[pair.b[i][j] for j in perm] for i in perm]
+    )
+
+
+def relabel_pairs(rng: random.Random, count: int) -> list[MatrixPair]:
+    """Random pairs with and without condition E, with a transient vertex,
+    and disjoint sums, so that every verdict takes each of its values."""
+    draws = (
+        lambda: random_pair(rng, n_max=5),
+        lambda: random_pair(rng, n_max=5, ensure_e=True),
+        lambda: add_transient_vertex(rng, random_pair(rng, n_max=4, ensure_e=rng.random() < 0.5)),
+        lambda: direct_sum(random_pair(rng, n_max=3), random_pair(rng, n_max=3, ensure_e=True)),
+    )
+    return [rng.choice(draws)() for _ in range(count)]
+
+
+class TestRelabelling:
+    def test_verdicts_and_k_groups_are_invariant(self):
+        # the verdicts and K-groups are isomorphism invariants of the graph
+        # with its A- and B-labels; reason texts may name vertices, values not
+        rng = random.Random(48)
+        seen: dict[str, set[str]] = {}
+        for pair in relabel_pairs(rng, 1000):
+            perm = rng.sample(range(pair.n), pair.n)
+            before, after = analyze(pair), analyze(relabel(pair, perm))
+            values = {name: v.value for name, v in before.verdict_fields().items()}
+            assert values == {name: v.value for name, v in after.verdict_fields().items()}, (pair, perm)
+            assert before.kgroups == after.kgroups, (pair, perm)
+            for name, value in values.items():
+                seen.setdefault(name, set()).add(value)
+        assert len(seen) == 14
+        assert seen["simple"] == {"yes", "no", "unknown"}
+        assert all(seen[name] == {"yes", "no"} for name in ("topologically_free", "minimal", "condition_k"))
+
+
 def long_cycle(n, chord=False):
     """The bare n-cycle with unit entries; the chord 1 -> 3 carries A = 2,
     B = 1, so walks through it halve the trace."""

@@ -29,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 from katsura.cli import main
+from katsura.decisions import analyze
 from katsura.matrices import MatrixPair
 
 from conftest import direct_sum, random_backward_walk, random_pair, random_path_word, random_walk
@@ -226,8 +227,10 @@ def element_calls(rng: random.Random, pair: MatrixPair, path: str) -> list[tuple
 
 
 def _faulty_isg_text(rng: random.Random, pair: MatrixPair) -> str:
-    """An s/u/q text the CLI refuses: a vertex out of range, an arc off the
-    support, a cut-off text or a stray character."""
+    """An s/u/q text the CLI mostly refuses: a vertex out of range, an arc
+    off the support, a cut-off text or a stray character.  Where A has no
+    zero entry in the row, the arc gets an offset past A instead, which
+    folds into a unitary power."""
     v = rng.choice(pair.vertices)
     text = _random_isg_text(rng, pair)
     kind = rng.randrange(4)
@@ -336,6 +339,38 @@ def test_tables_match(tmp_path):
         changed = [f"{old!r} -> {new!r}" for old, new in zip(expected, actual) if old != new]
         assert not changed, f"{name}: {len(changed)} rows changed, first: {changed[:3]}"
         assert len(actual) == len(expected), name
+
+
+# the 14 verdicts in the order of `analyze --json` and of the letters in a row
+VERDICTS = (
+    "condition0", "condition_e", "irreducible", "condition_l", "condition_k", "minimal",
+    "topologically_free", "essentially_principal", "hausdorff", "simple",
+    "locally_contracting", "purely_infinite_simple", "nuclear", "etale",
+)
+PREMISES = ("simple", "purely_infinite_simple", "topologically_free", "condition_e")
+
+
+def test_verdict_implications_on_every_analyze_row():
+    # what the theorems behind the verdicts imply, read off the committed
+    # letters: simple needs minimal and L, purely infinite simple needs
+    # simple, topologically free gives essentially principal, and under E
+    # the two agree
+    assert tuple(analyze(MatrixPair.from_rows([[1]], [[1]])).verdict_fields()) == VERDICTS
+    rows = [line.split() for line in (GOLDEN / "analyze.txt").read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == sum(count for _, _, count, _ in ANALYZE_FAMILIES)
+    premises = set()
+    for family, k, letters, *_ in rows:
+        v = dict(zip(VERDICTS, letters, strict=True))
+        if v["simple"] == "y":
+            assert v["minimal"] == v["condition_l"] == "y", (family, k)
+        if v["purely_infinite_simple"] == "y":
+            assert v["simple"] == "y", (family, k)
+        if v["topologically_free"] == "y":
+            assert v["essentially_principal"] == "y", (family, k)
+        if v["condition_e"] == "y":
+            assert v["essentially_principal"] == v["topologically_free"], (family, k)
+        premises.update(name for name in PREMISES if v[name] == "y")
+    assert premises == set(PREMISES)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from katsura import pathspace
 from katsura.errors import DomainError, StructuralError
 from katsura.invsemigroup import (
     PathWord,
@@ -268,6 +269,36 @@ class TestGenerateFixedPoint:
             verified += 1
             zero_rows += bool(pair.zero_b_rows)
         assert zero_rows >= 30
+
+    def test_pushes_only_for_blocks_it_emits(self, monkeypatch):
+        # each block after the first is the previous one pushed once, so a
+        # call that emits b blocks pushes b - 1 times; the carried exponent
+        # grows with every block, so a push past the last would be the dearest
+        pushes = []
+
+        def counting(*args):
+            pushes.append(args)
+            return push_unitary(*args)
+
+        monkeypatch.setattr(pathspace, "push_unitary", counting)
+        pair = MatrixPair.from_rows([[2]], [[3]])
+        s = multiply(pair, generator_s(pair, 1, 1, 1), unitary(pair, 1))
+        for depth, expected in ((0, 0), (1, 0), (2, 1), (6, 5), (2000, 1999)):
+            pushes.clear()
+            assert len(generate_fixed_point(pair, s, depth)) == depth
+            assert len(pushes) == expected, depth
+        rng = random.Random(47)
+        for _ in range(300):
+            pair = random_pair(rng, n_max=3, a_max=3)
+            s = _random_cycle_element(rng, pair)
+            if s is None:
+                continue
+            cycle = len(s.left) - len(s.right)
+            depth = rng.randint(0, 30)
+            pushes.clear()
+            generate_fixed_point(pair, rng.choice((s, star(s))), depth)
+            blocks = -(-max(0, depth - len(s.right)) // cycle)
+            assert len(pushes) == max(0, blocks - 1)
 
 
 def _random_cycle_element(rng, pair):

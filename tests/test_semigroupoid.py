@@ -3,13 +3,25 @@ import random
 import pytest
 
 from katsura.errors import CompositionError, DomainError
+from katsura.invsemigroup import ZERO, multiply
 from katsura.matrices import MatrixPair
 from katsura.semigroupoid import GWord, HAtom, HPower, compose, lcm, source, standard_form, target
 
 from conftest import random_pair, random_raw_word, random_sgp
-from oracles import divides_by_witness
+from oracles import divides_by_witness, generator_s, unitary
 
 E1 = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [1, 1]])
+
+
+def partial_isometry(pair, e):
+    """The image of a semigroupoid element in the inverse semigroup:
+    g(i,j,n) -> s(i,j,n) and h(i)^t -> u(i)^t, multiplied out."""
+    if isinstance(e, HPower):
+        return unitary(pair, e.vertex, e.exponent)
+    out = generator_s(pair, *e.edges[0])
+    for edge in e.edges[1:]:
+        out = multiply(pair, out, generator_s(pair, *edge))
+    return out
 
 
 class TestStandardForm:
@@ -97,23 +109,35 @@ class TestCompose:
     def test_vertex_mismatch_is_undefined(self):
         assert compose(E1, HPower(2, 1), GWord(((1, 2, 1),))) is None
 
-    def test_matches_standard_form_of_the_joined_word(self):
-        # compose joins two standard forms at the junction; standard_form
-        # normalizes the whole raw word
-        def raw(e):
-            return [HAtom(e.vertex, e.exponent)] if isinstance(e, HPower) else list(e.edges)
-
+    def test_maps_to_the_product_of_partial_isometries(self):
+        # g(i,j,n) -> s(i,j,n) and h(i)^t -> u(i)^t respect both shift
+        # relations, so the image of a composite is the product of the
+        # images; a pair that does not compose multiplies to zero
         rng = random.Random(24)
         joined = 0
         while joined < 2000:
-            pair = random_pair(rng, n_max=3, a_max=3, b_max=4)
+            pair = random_pair(rng, n_max=3, a_max=3, b_max=4, ensure_e=rng.random() < 0.7)
             f = random_sgp(rng, pair, max_len=5)
             gel = random_sgp(rng, pair, max_len=5)
-            if target(f) != source(gel):
-                assert compose(pair, f, gel) is None
+            product = multiply(pair, partial_isometry(pair, f), partial_isometry(pair, gel))
+            fg = compose(pair, f, gel)
+            if fg is None:
+                assert target(f) != source(gel) and product is ZERO
                 continue
-            assert compose(pair, f, gel) == standard_form(pair, raw(f) + raw(gel))
+            assert partial_isometry(pair, fg) == product
             joined += 1
+
+    def test_associative(self):
+        rng = random.Random(25)
+        checked = 0
+        while checked < 500:
+            pair = random_pair(rng, n_max=3, a_max=3, b_max=4)
+            f, gel, k = (random_sgp(rng, pair, max_len=4) for _ in range(3))
+            fg, gk = compose(pair, f, gel), compose(pair, gel, k)
+            if fg is None or gk is None:
+                continue
+            assert compose(pair, fg, k) == compose(pair, f, gk)
+            checked += 1
 
     def test_monic(self):
         rng = random.Random(22)
