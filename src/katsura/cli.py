@@ -29,15 +29,7 @@ from .errors import (
 )
 from .ktheory import KTheoryResult, k_groups, realize
 from .matrices import MatrixPair
-from .pathspace import (
-    ActResult,
-    ActZero,
-    NeedLongerPrefix,
-    act_on_periodic,
-    act_on_prefix,
-    generate_fixed_point,
-    germ_equal,
-)
+from .pathspace import act_on_periodic, act_on_prefix, generate_fixed_point, germ_equal
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -202,20 +194,18 @@ def _cmd_act(args) -> int:
     if parsing.is_periodic_literal(args.path):
         x = parsing.parse_periodic_path(args.path, pair)
         image = act_on_periodic(pair, elem, x, args.depth)
-        print("0" if isinstance(image, ActZero) else parsing.format_finite_path(image))
+        print("0" if isinstance(image, isg.Zero) else parsing.format_finite_path(image))
         return EXIT_OK
-    gamma = parsing.parse_finite_path(args.path, pair)
-    outcome = act_on_prefix(pair, elem, gamma)
-    if isinstance(outcome, ActZero):
+    # the product elem . s_gamma: its left word is the image cylinder
+    product = act_on_prefix(pair, elem, parsing.parse_finite_path(args.path, pair))
+    if isinstance(product, isg.Zero):
         print("0")
-    elif isinstance(outcome, NeedLongerPrefix):
+    elif product.right.edges:
         print("need-longer-prefix")
+    elif len(product.left) > LETTER_BUDGET:
+        raise DomainError(f"the path would hold more than {LETTER_BUDGET} letters, the letter budget")
     else:
-        assert isinstance(outcome, ActResult)
-        if len(outcome.prefix) > LETTER_BUDGET:
-            raise DomainError(f"the path would hold more than {LETTER_BUDGET} letters, the letter budget")
-        residual = format_int(outcome.residual)
-        print(f"{parsing.format_finite_path(outcome.prefix)} residual {residual}")
+        print(f"{parsing.format_finite_path(product.left)} residual {format_int(product.exponent)}")
     return EXIT_OK
 
 

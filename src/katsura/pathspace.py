@@ -2,10 +2,12 @@
 equality.
 
 A point of the path space is an infinite sequence of in-range edges.  Finite
-prefixes double as the clopen cylinders they determine.  Eventually periodic
-points are the computable proxy for the whole space: every unique fixed
-point of a non-idempotent element has this shape, so the decision procedures
-lose nothing by restricting to them.
+prefixes double as the clopen cylinders they determine.  An element s acts
+on the cylinder of gamma through the product s . s_gamma, so the action is
+read off that product's normal form, zero B-rows included.  Eventually
+periodic points are the computable proxy for the whole space: every unique
+fixed point of a non-idempotent element has this shape, so the decision
+procedures lose nothing by restricting to them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DepthCapExceeded, DomainError, StructuralError
-from .invsemigroup import ISgElement, PathWord, Zero, is_idempotent, is_prefix, push_unitary, star
+from .invsemigroup import ZERO, ISgElement, PathWord, Triple, Zero, is_idempotent, is_prefix, push_unitary, star, triple
 from .matrices import Edge, MatrixPair
 
 
@@ -58,67 +60,50 @@ def eventually_periodic(pre: PathWord, per: PathWord) -> EventuallyPeriodicPath:
     return EventuallyPeriodicPath(new_pre, PathWord(per_edges[0][0], per_edges))
 
 
-@dataclass(frozen=True)
-class ActZero:
-    """The element annihilates every point of the cylinder."""
+# perfbench's `act` check names the zero of the action by this alias
+ActZero = Zero
 
 
-@dataclass(frozen=True)
-class NeedLongerPrefix:
-    """The prefix is too short to decide; extend it past the adjoint word."""
+def act_on_prefix(pair: MatrixPair, s: ISgElement, gamma: PathWord) -> ISgElement:
+    """The product s . s_gamma in normal form, for s = s_I u^t s_J*.
 
-
-@dataclass(frozen=True)
-class ActResult:
-    prefix: PathWord
-    # unitary exponent still to be pushed through any further letters, as the
-    # normal form reads it: 0 when the prefix ends at a zero B-row
-    residual: int
-
-
-ACT_ZERO = ActZero()
-NEED_LONGER_PREFIX = NeedLongerPrefix()
-
-ActOutcome = ActZero | NeedLongerPrefix | ActResult
-
-
-def act_on_prefix(pair: MatrixPair, s: ISgElement, gamma: PathWord) -> ActOutcome:
-    """Apply s to a cylinder: strips s's adjoint word, prepends its path word,
-    and pushes its unitary exponent through the remaining letters.  The
-    residual reads 0 where the image ends at a vertex of `pair.zero_b_rows`,
-    whose unitary is its projection."""
+    ZERO when the cylinder of gamma leaves the domain of s.  When gamma is a
+    proper prefix of J = gamma J', the product s_I u^t s_J'* still carries
+    an adjoint word.  Otherwise gamma = J w, u^t is pushed across w, and the
+    product s_I s_w' u^r has an empty adjoint word; `triple` reads r as 0
+    at a vertex whose B-row is zero."""
     if isinstance(s, Zero):
-        return ACT_ZERO
+        return ZERO
     j_word = s.right
     if len(gamma) < len(j_word):
-        return NEED_LONGER_PREFIX if is_prefix(gamma, j_word) else ACT_ZERO
+        if not is_prefix(gamma, j_word):
+            return ZERO
+        return Triple(s.left, s.exponent, PathWord(gamma.target, j_word.edges[len(gamma.edges):]))
     if not is_prefix(j_word, gamma):
-        return ACT_ZERO
-    rest = gamma.edges[len(j_word.edges):]
-    pushed, residual = push_unitary(pair, j_word.target, s.exponent, rest)
+        return ZERO
+    pushed, residual = push_unitary(pair, j_word.target, s.exponent, gamma.edges[len(j_word.edges):])
     image = PathWord(s.left.base, s.left.edges + pushed)
-    return ActResult(image, 0 if image.target in pair.zero_b_rows else residual)
+    return triple(pair, image, residual, PathWord(image.target))
 
 
 def act_on_periodic(
     pair: MatrixPair, s: ISgElement, x: EventuallyPeriodicPath, depth: int
-) -> ActZero | PathWord:
-    """First `depth` letters of s . x, or ActZero when x is outside the domain."""
+) -> Zero | PathWord:
+    """First `depth` letters of s . x, or ZERO when x is outside the domain."""
     if isinstance(s, Zero):
-        return ACT_ZERO
+        return ZERO
     need = len(s.right) + max(0, depth - len(s.left))
-    outcome = act_on_prefix(pair, s, x.unfold(need))
-    if isinstance(outcome, ActZero):
-        return ACT_ZERO
-    assert isinstance(outcome, ActResult)
-    p = outcome.prefix
-    return PathWord(p.base, p.edges[:depth])
+    image = act_on_prefix(pair, s, x.unfold(need))
+    if isinstance(image, Zero):
+        return ZERO
+    return PathWord(image.left.base, image.left.edges[:depth])
 
 
 def image_point(
     pair: MatrixPair, s: ISgElement, x: EventuallyPeriodicPath, cap: int = 64
-) -> ActZero | EventuallyPeriodicPath:
-    """s . x as an eventually periodic point.
+) -> Zero | EventuallyPeriodicPath:
+    """s . x as an eventually periodic point, or ZERO when x is outside the
+    domain.
 
     The residual exponent evolves deterministically per period copy; once it
     repeats, the image's period is the block of letters emitted in between.
@@ -128,29 +113,28 @@ def image_point(
     image need not be eventually periodic in general).
     """
     if isinstance(s, Zero):
-        return ACT_ZERO
+        return ZERO
     p, q = len(x.preperiod), len(x.period)
     start = max(p, len(s.right))
     head = act_on_prefix(pair, s, x.unfold(start))
-    if isinstance(head, ActZero):
-        return ACT_ZERO
-    assert isinstance(head, ActResult)
+    if isinstance(head, Zero):
+        return ZERO
     offset = (start - p) % q
     loop = x.period.edges[offset:] + x.period.edges[:offset]
     vertex = loop[0][0]  # where the point stands after `start` letters
     if all(pair.a_at(i, j) == 1 for i, j, _ in loop):
-        return eventually_periodic(head.prefix, PathWord(vertex, loop))
+        return eventually_periodic(head.left, PathWord(vertex, loop))
     seen: dict[int, int] = {}
     blocks: list[tuple[Edge, ...]] = []
-    t = head.residual
+    t = head.exponent
     for k in range(cap):
         if t in seen:
             first = seen[t]
-            pre_edges = head.prefix.edges + sum(blocks[:first], ())
+            pre_edges = head.left.edges + sum(blocks[:first], ())
             per_edges = sum(blocks[first:k], ())
             return eventually_periodic(
-                PathWord(head.prefix.base, pre_edges),
-                PathWord(pre_edges[-1][1] if pre_edges else head.prefix.base, per_edges),
+                PathWord(head.left.base, pre_edges),
+                PathWord(pre_edges[-1][1] if pre_edges else head.left.base, per_edges),
             )
         seen[t] = k
         pushed, t = push_unitary(pair, vertex, t, loop)
@@ -217,9 +201,8 @@ def germ_equal(
       max(d0, |preperiod|) on repeat the period, so that arc, if it
       exists, sits at an index below D.
 
-    The products are not answers, so they are not built: `act_on_prefix`
-    on the cylinder gives each l and r, with r already read as the normal
-    form reads it.
+    At depth D, s . e_D is (s . s_w) s_w* with s . s_w = s_l u^r from
+    `act_on_prefix`, so comparing s . s_w with t . s_w compares them.
     """
     for elem in (s, t):
         if isinstance(elem, Zero):

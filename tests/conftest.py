@@ -17,7 +17,7 @@ from katsura.invsemigroup import PathWord, Triple, triple
 from katsura.matrices import MatrixPair
 from katsura.semigroupoid import GWord, HPower
 
-from oracles import simple_vertex_cycles
+from oracles import add_transient_vertex, simple_vertex_cycles
 
 
 @pytest.fixture
@@ -109,6 +109,52 @@ def direct_sum(p: MatrixPair, q: MatrixPair) -> MatrixPair:
         [list(row) + pad_p for row in p.a] + [pad_q + list(row) for row in q.a],
         [list(row) + pad_p for row in p.b] + [pad_q + list(row) for row in q.b],
     )
+
+
+def out_split(pair: MatrixPair, v: int, part: set[int]) -> MatrixPair:
+    """Split v by its out-arcs: v keeps its arcs into `part`, a new vertex
+    N + 1 takes the rest, and every arc x -> v is copied to x -> N + 1 with
+    its A- and B-entries (a loop at v goes with v's membership of `part`).
+    `part` is a nonempty proper subset of v's out-neighbours."""
+
+    def split(m):
+        rows = [list(row) + [row[v - 1]] for row in m]
+        keep = [(c if c <= pair.n else v) in part for c in range(1, pair.n + 2)]
+        row = rows[v - 1]
+        rows[v - 1] = [x if k else 0 for x, k in zip(row, keep)]
+        return rows + [[0 if k else x for x, k in zip(row, keep)]]
+
+    return MatrixPair.from_rows(split(pair.a), split(pair.b))
+
+
+def in_split(pair: MatrixPair, v: int, part: set[int]) -> MatrixPair:
+    """Split v by its in-arcs: arcs from `part` still end at v, the others
+    move to a new vertex N + 1, and N + 1 copies v's row (a loop at v moves
+    with v's membership of `part`).  `part` is a nonempty proper subset of
+    v's in-neighbours."""
+
+    def split(m):
+        rows = [list(row) for row in m] + [list(m[v - 1])]
+        for x, row in enumerate(rows, 1):
+            moved = (x if x <= pair.n else v) not in part
+            row.append(row[v - 1] if moved else 0)
+            if moved:
+                row[v - 1] = 0
+        return rows
+
+    return MatrixPair.from_rows(split(pair.a), split(pair.b))
+
+
+def report_pairs(rng: random.Random, count: int) -> list[MatrixPair]:
+    """Random pairs with and without condition E, with a transient vertex,
+    and disjoint sums, so that every verdict takes each of its values."""
+    draws = (
+        lambda: random_pair(rng, n_max=5),
+        lambda: random_pair(rng, n_max=5, ensure_e=True),
+        lambda: add_transient_vertex(rng, random_pair(rng, n_max=4, ensure_e=rng.random() < 0.5)),
+        lambda: direct_sum(random_pair(rng, n_max=3), random_pair(rng, n_max=3, ensure_e=True)),
+    )
+    return [rng.choice(draws)() for _ in range(count)]
 
 
 def cycle_ratio_denominators(pair: MatrixPair) -> set[int]:

@@ -17,7 +17,6 @@ from katsura.ktheory import AbelianGroup, k_groups, realize, smith_normal_form
 from katsura.matrices import MatrixPair, graph_facts
 from katsura.parsing import format_group
 from katsura.pathspace import (
-    ActResult,
     act_on_periodic,
     act_on_prefix,
     eventually_periodic,
@@ -305,9 +304,9 @@ def test_criterion_07_fixed_point_laws():
         omega = generate_fixed_point(pair, s, 20 + len(s.right))
         assert omega is not None
         out = act_on_prefix(pair, s, omega)
-        assert isinstance(out, ActResult)
-        cut = min(20, len(out.prefix))
-        assert out.prefix.edges[:cut] == omega.edges[:cut]
+        assert not isinstance(out, Zero) and not out.right.edges
+        cut = min(20, len(out.left))
+        assert out.left.edges[:cut] == omega.edges[:cut]
         verified += 1
     print("\nACCEPTANCE 7: PASS - fixed-point emptiness, proportional fixity, and fixity to depth 20")
 

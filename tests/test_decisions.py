@@ -13,6 +13,7 @@ from conftest import (
     direct_sum,
     escape_witness,
     random_pair,
+    report_pairs,
     sparse_scc_pair,
 )
 from oracles import (
@@ -415,25 +416,13 @@ def relabel(pair: MatrixPair, perm: list[int]) -> MatrixPair:
     )
 
 
-def relabel_pairs(rng: random.Random, count: int) -> list[MatrixPair]:
-    """Random pairs with and without condition E, with a transient vertex,
-    and disjoint sums, so that every verdict takes each of its values."""
-    draws = (
-        lambda: random_pair(rng, n_max=5),
-        lambda: random_pair(rng, n_max=5, ensure_e=True),
-        lambda: add_transient_vertex(rng, random_pair(rng, n_max=4, ensure_e=rng.random() < 0.5)),
-        lambda: direct_sum(random_pair(rng, n_max=3), random_pair(rng, n_max=3, ensure_e=True)),
-    )
-    return [rng.choice(draws)() for _ in range(count)]
-
-
 class TestRelabelling:
     def test_verdicts_and_k_groups_are_invariant(self):
         # the verdicts and K-groups are isomorphism invariants of the graph
         # with its A- and B-labels; reason texts may name vertices, values not
         rng = random.Random(48)
         seen: dict[str, set[str]] = {}
-        for pair in relabel_pairs(rng, 1000):
+        for pair in report_pairs(rng, 1000):
             perm = rng.sample(range(pair.n), pair.n)
             before, after = analyze(pair), analyze(relabel(pair, perm))
             values = {name: v.value for name, v in before.verdict_fields().items()}

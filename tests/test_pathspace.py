@@ -8,7 +8,9 @@ from katsura import pathspace
 from katsura.errors import DomainError, StructuralError
 from katsura.invsemigroup import (
     PathWord,
+    Triple,
     ZERO,
+    Zero,
     is_idempotent,
     is_prefix,
     multiply,
@@ -18,10 +20,6 @@ from katsura.invsemigroup import (
 )
 from katsura.matrices import MatrixPair
 from katsura.pathspace import (
-    ACT_ZERO,
-    ActResult,
-    ActZero,
-    NEED_LONGER_PREFIX,
     act_on_periodic,
     act_on_prefix,
     eventually_periodic,
@@ -97,48 +95,75 @@ def _random_point(rng, pair):
     raise AssertionError("could not build an eventually periodic point")
 
 
+def _cylinder(pair, gamma):
+    """s_gamma, whose product with s is s's action on the cylinder of gamma."""
+    return triple(pair, gamma, 0, PathWord(gamma.target))
+
+
 class TestActOnPrefix:
     def test_projection_acts_as_identity(self):
-        out = act_on_prefix(E1, projection_q(E1, 1), PathWord(1, ((1, 1, 1),)))
-        assert out == ActResult(PathWord(1, ((1, 1, 1),)), 0)
+        gamma = PathWord(1, ((1, 1, 1),))
+        assert act_on_prefix(E1, projection_q(E1, 1), gamma) == _cylinder(E1, gamma)
 
     def test_prepend(self):
         out = act_on_prefix(E1, generator_s(E1, 2, 1, 1), PathWord(1, ((1, 1, 2),)))
-        assert out == ActResult(PathWord(2, ((2, 1, 1), (1, 1, 2))), 0)
+        assert out == _cylinder(E1, PathWord(2, ((2, 1, 1), (1, 1, 2))))
 
     def test_wrong_vertex_is_zero(self):
-        assert act_on_prefix(E1, projection_q(E1, 2), PathWord(1, ((1, 1, 1),))) == ACT_ZERO
+        assert act_on_prefix(E1, projection_q(E1, 2), PathWord(1, ((1, 1, 1),))) == ZERO
 
     def test_short_prefix_of_domain(self):
+        # s = s_J* with J = (1,1,1)(1,1,2): s s_(1,1,1) = s_(1,1,2)* still
+        # carries an adjoint word, so the cylinder is too short to decide
         s = star(triple(E1, PathWord(1, ((1, 1, 1), (1, 1, 2))), 0, PathWord(1)))
-        assert act_on_prefix(E1, s, PathWord(1, ((1, 1, 1),))) == NEED_LONGER_PREFIX
-        assert act_on_prefix(E1, s, PathWord(1, ((1, 1, 2),))) == ACT_ZERO
+        assert act_on_prefix(E1, s, PathWord(1, ((1, 1, 1),))) == Triple(PathWord(1), 0, PathWord(1, ((1, 1, 2),)))
+        assert act_on_prefix(E1, s, PathWord(1, ((1, 1, 2),))) == ZERO
 
     def test_zero_element(self):
-        assert act_on_prefix(E1, ZERO, PathWord(1)) == ACT_ZERO
+        assert act_on_prefix(E1, ZERO, PathWord(1)) == ZERO
 
     def test_residual_reads_zero_at_a_zero_b_row(self):
         # u_2 = p_2, so u(1) s(1,2,1) = s(1,2,1) u(2)^1 = s(1,2,1)
         pair = MatrixPair.from_rows([[2, 1], [1, 2]], [[1, 1], [0, 0]])
         gamma = PathWord(1, ((1, 2, 1),))
-        assert act_on_prefix(pair, unitary(pair, 1), gamma) == ActResult(gamma, 0)
+        assert act_on_prefix(pair, unitary(pair, 1), gamma) == _cylinder(pair, gamma)
 
     def test_residual_is_the_normal_forms_exponent(self):
-        # s . gamma = gamma' with residual r iff s s_gamma = s_gamma' u^r in normal form
+        # s . gamma is s s_gamma in normal form, by the whole-element oracle
+        # and by the library's fold alike, whether gamma is a proper prefix
+        # of s's adjoint word J, extends J, or leaves J; on an extension the
+        # residual is the normal form's exponent, 0 at a zero B-row
         rng = random.Random(35)
-        at_zero_rows = 0
-        for _ in range(2000):
+        seen, at_zero_rows = Counter(), 0
+        for _ in range(4000):
             pair = random_pair(rng, n_max=3, a_max=3, b_max=9)
-            b = [[0] * pair.n if rng.random() < 0.5 else row for row in pair.b]
+            # each B-row zero with chance 0.4: about 60 % of the pairs have one
+            b = [[0] * pair.n if rng.random() < 0.4 else row for row in pair.b]
             pair = MatrixPair.from_rows(pair.a, b)
             s = random_isg(rng, pair, max_len=3, t_max=30)
-            walk = random_walk(rng, pair, s.right.target, rng.randint(0, 2))
-            gamma = PathWord(s.right.base, s.right.edges + walk)
+            j_word = s.right
+            draw = rng.choice((0, 1, 1, 2))  # extensions twice as often
+            if draw == 0 and j_word.edges:
+                gamma = PathWord(j_word.base, j_word.edges[: rng.randrange(len(j_word))])
+            elif draw == 1:
+                walk = random_walk(rng, pair, j_word.target, rng.randint(0, 2))
+                gamma = PathWord(j_word.base, j_word.edges + walk)
+            else:  # another vertex or offset, mostly
+                gamma = random_path_word(rng, pair, max_len=4)
             out = act_on_prefix(pair, s, gamma)
-            product = multiply(pair, s, triple(pair, gamma, 0, PathWord(gamma.target)))
-            assert (product.left, product.exponent) == (out.prefix, out.residual)
-            _, pushed_past = push_unitary(pair, s.right.target, s.exponent, gamma.edges[len(s.right):])
-            at_zero_rows += gamma.target in pair.zero_b_rows and pushed_past != 0
+            assert out == pairwise_multiply(pair, s, _cylinder(pair, gamma)) == multiply(pair, s, _cylinder(pair, gamma))
+            if len(gamma) < len(j_word) and is_prefix(gamma, j_word):
+                shape = "prefix"
+            elif is_prefix(j_word, gamma):
+                shape = "extension"
+                _, pushed_past = push_unitary(pair, j_word.target, s.exponent, gamma.edges[len(j_word):])
+                at_zero_rows += out.range_vertex in pair.zero_b_rows and pushed_past != 0
+            else:
+                shape = "off"
+            seen[shape, bool(pair.zero_b_rows)] += 1
+        # each shape at least 300 times, and 150 each with and without zero B-rows
+        assert len(seen) == 6 and min(seen.values()) >= 150
+        assert all(seen[shape, True] + seen[shape, False] >= 300 for shape in ("prefix", "extension", "off"))
         assert at_zero_rows > 50
 
 
@@ -154,7 +179,13 @@ class TestActOnPeriodic:
 
     def test_wrong_domain_is_zero(self):
         x = loop_point(E1, vertex=2)
-        assert act_on_periodic(E1, projection_q(E1, 1), x, 3) == ACT_ZERO
+        assert act_on_periodic(E1, projection_q(E1, 1), x, 3) == ZERO
+
+
+def _needs_longer_prefix(product):
+    """The product still carries an adjoint word: the cylinder was a proper
+    prefix of the element's adjoint word."""
+    return not isinstance(product, Zero) and bool(product.right.edges)
 
 
 class TestActionCompatibility:
@@ -169,21 +200,21 @@ class TestActionCompatibility:
             z = multiply(pair, x, y)
             route1 = act_on_prefix(pair, z, gamma)
             o_y = act_on_prefix(pair, y, gamma)
-            if o_y == NEED_LONGER_PREFIX or route1 == NEED_LONGER_PREFIX:
+            if _needs_longer_prefix(o_y) or _needs_longer_prefix(route1):
                 continue
-            if o_y == ACT_ZERO:
-                assert route1 == ACT_ZERO
+            if o_y == ZERO:
+                assert route1 == ZERO
                 continue
-            o_x = act_on_prefix(pair, x, o_y.prefix)
-            if o_x == NEED_LONGER_PREFIX:
+            o_x = act_on_prefix(pair, x, o_y.left)
+            if _needs_longer_prefix(o_x):
                 continue
-            if o_x == ACT_ZERO:
-                assert route1 == ACT_ZERO
+            if o_x == ZERO:
+                assert route1 == ZERO
                 continue
             checked += 1
-            assert isinstance(route1, ActResult)
-            assert route1.prefix == o_x.prefix
-            assert route1.residual == o_x.residual + o_y.residual
+            assert not route1.right.edges
+            assert route1.left == o_x.left
+            assert route1.exponent == o_x.exponent + o_y.exponent
         assert checked > 200
 
 
@@ -225,9 +256,9 @@ class TestGenerateFixedPoint:
             if omega is None:
                 continue
             out = act_on_prefix(pair, s, omega)
-            assert isinstance(out, ActResult)
-            depth = min(20, len(out.prefix))
-            assert out.prefix.edges[:depth] == omega.edges[:depth]
+            assert not isinstance(out, Zero) and not out.right.edges
+            depth = min(20, len(out.left))
+            assert out.left.edges[:depth] == omega.edges[:depth]
             verified += 1
         assert verified > 100
 
@@ -535,10 +566,10 @@ class TestImagePoint:
         assert img == eventually_periodic(PathWord(1, ((1, 1, 2),)), PathWord(1, ((1, 1, 1),)))
 
     def test_outside_domain(self):
-        assert image_point(E1, projection_q(E1, 2), loop_point(E1, 1)) == ACT_ZERO
+        assert image_point(E1, projection_q(E1, 2), loop_point(E1, 1)) == ZERO
 
     def test_zero(self):
-        assert image_point(E1, ZERO, loop_point(E1, 1)) == ACT_ZERO
+        assert image_point(E1, ZERO, loop_point(E1, 1)) == ZERO
 
     def test_matches_prefix_action(self):
         rng = random.Random(46)
@@ -551,7 +582,7 @@ class TestImagePoint:
                 img = image_point(pair, s, x, cap=64)
             except Exception:
                 continue
-            if isinstance(img, ActZero):
+            if isinstance(img, Zero):
                 continue
             depth = rng.randint(1, 12)
             assert img.unfold(depth) == act_on_periodic(pair, s, x, depth)
