@@ -12,10 +12,9 @@ import json
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
-from . import invsemigroup as isg
-from . import parsing, semigroupoid as sgp
-from .decisions import AnalysisReport, Verdict, analyze
+from . import parsing
 from .errors import (
     LETTER_BUDGET,
     CertificationError,
@@ -27,9 +26,14 @@ from .errors import (
     UnrealizableWithSquareMatrices,
     format_int,
 )
-from .ktheory import KTheoryResult, k_groups, realize
 from .matrices import MatrixPair
-from .pathspace import act_on_periodic, act_on_prefix, generate_fixed_point, germ_equal
+
+if TYPE_CHECKING:
+    from .decisions import AnalysisReport, Verdict
+    from .ktheory import KTheoryResult
+
+# the package, whose layers each command reads on first use (`katsura.__init__`)
+_package = sys.modules[__package__]
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -94,12 +98,6 @@ def _print_report(report: AnalysisReport) -> None:
         print(f"note: {note}")
 
 
-def _format_element(e) -> str:
-    if isinstance(e, (sgp.HPower, sgp.GWord)):
-        return parsing.format_semigroupoid(e)
-    return parsing.format_isg(e)
-
-
 def _cmd_validate(args) -> int:
     try:
         _load_pair(args.file)
@@ -111,7 +109,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     pair = _load_pair(args.file)
-    report = analyze(pair)
+    report = _package.decisions.analyze(pair)
     if args.json:
         print(_json_indented(_report_dict(report)))
     else:
@@ -123,7 +121,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_kgroups(args) -> int:
     pair = _load_pair(args.file)
-    kt = k_groups(pair)
+    kt = _package.ktheory.k_groups(pair)
     if args.json:
         print(json.dumps(_kgroups_dict(kt)))
     else:
@@ -135,7 +133,7 @@ def _cmd_kgroups(args) -> int:
 def _cmd_realize(args) -> int:
     g0 = parsing.parse_group(args.k0)
     g1 = parsing.parse_group(args.k1)
-    cert = realize(g0, g1)
+    cert = _package.ktheory.realize(g0, g1)
     pair = cert.pair
     # json.dumps cannot print an integer past the digit limit; the longest entry decides
     format_int(max(abs(x) for row in pair.a + pair.b for x in row))
@@ -161,7 +159,8 @@ def _cmd_realize(args) -> int:
 def _cmd_normalize(args) -> int:
     pair = _load_pair(args.file)
     elem = parsing.parse_element(args.expr, pair)
-    print(_format_element(elem))
+    semigroupoid = parsing.looks_like_semigroupoid(args.expr)  # as parse_element decides
+    print((parsing.format_semigroupoid if semigroupoid else parsing.format_isg)(elem))
     return EXIT_OK
 
 
@@ -170,12 +169,12 @@ def _cmd_mul(args) -> int:
     if parsing.looks_like_semigroupoid(args.left) or parsing.looks_like_semigroupoid(args.right):
         f = parsing.parse_semigroupoid(args.left, pair)
         g = parsing.parse_semigroupoid(args.right, pair)
-        prod = sgp.compose(pair, f, g)
+        prod = _package.semigroupoid.compose(pair, f, g)
         print("undefined" if prod is None else parsing.format_semigroupoid(prod))
         return EXIT_OK
     x = parsing.parse_isg(args.left, pair)
     y = parsing.parse_isg(args.right, pair)
-    print(parsing.format_isg(isg.multiply(pair, x, y)))
+    print(parsing.format_isg(_package.invsemigroup.multiply(pair, x, y)))
     return EXIT_OK
 
 
@@ -183,7 +182,7 @@ def _cmd_lcm(args) -> int:
     pair = _load_pair(args.file)
     f = parsing.parse_semigroupoid(args.left, pair)
     g = parsing.parse_semigroupoid(args.right, pair)
-    m = sgp.lcm(pair, f, g)
+    m = _package.semigroupoid.lcm(pair, f, g)
     print("none" if m is None else parsing.format_semigroupoid(m))
     return EXIT_OK
 
@@ -193,12 +192,12 @@ def _cmd_act(args) -> int:
     elem = parsing.parse_isg(args.expr, pair)
     if parsing.is_periodic_literal(args.path):
         x = parsing.parse_periodic_path(args.path, pair)
-        image = act_on_periodic(pair, elem, x, args.depth)
-        print("0" if isinstance(image, isg.Zero) else parsing.format_finite_path(image))
+        image = _package.pathspace.act_on_periodic(pair, elem, x, args.depth)
+        print("0" if isinstance(image, _package.invsemigroup.Zero) else parsing.format_finite_path(image))
         return EXIT_OK
     # the product elem . s_gamma: its left word is the image cylinder
-    product = act_on_prefix(pair, elem, parsing.parse_finite_path(args.path, pair))
-    if isinstance(product, isg.Zero):
+    product = _package.pathspace.act_on_prefix(pair, elem, parsing.parse_finite_path(args.path, pair))
+    if isinstance(product, _package.invsemigroup.Zero):
         print("0")
     elif product.right.edges:
         print("need-longer-prefix")
@@ -212,7 +211,7 @@ def _cmd_act(args) -> int:
 def _cmd_fixedpoint(args) -> int:
     pair = _load_pair(args.file)
     elem = parsing.parse_isg(args.expr, pair)
-    prefix = generate_fixed_point(pair, elem, args.depth)
+    prefix = _package.pathspace.generate_fixed_point(pair, elem, args.depth)
     print("none" if prefix is None else parsing.format_finite_path(prefix))
     return EXIT_OK
 
@@ -222,7 +221,7 @@ def _cmd_germ_eq(args) -> int:
     s = parsing.parse_isg(args.left, pair)
     t = parsing.parse_isg(args.right, pair)
     x = parsing.parse_periodic_path(args.at, pair)
-    print(germ_equal(pair, s, t, x))
+    print(_package.pathspace.germ_equal(pair, s, t, x))
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ arithmetic; nothing in this package touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain, compress, repeat
 from operator import not_
 from typing import Sequence
@@ -18,32 +18,27 @@ from .errors import StructuralError
 Edge = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
 class MatrixPair:
     """A size-N pair: A with nonnegative integer entries, B with integer
     entries.  Construction enforces the standing requirement (no zero row in
-    A, B supported inside the support of A), so every instance is valid."""
+    A, B supported inside the support of A), so every instance is valid.
+    Instances are immutable, and compare and hash by (n, a, b)."""
 
-    n: int
-    a: tuple[tuple[int, ...], ...]
-    b: tuple[tuple[int, ...], ...]
-    # entry i - 1 lists the out-vertices of i, read off the same scan
-    sections: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    # the vertices whose B-row is zero: there u_i = p_i, so the normal form
-    # reads every unitary exponent standing at such a vertex as 0
-    zero_b_rows: frozenset[int] = field(init=False, compare=False, repr=False)
+    # `sections`: entry i - 1 lists the out-vertices of i, read off the same scan.
+    # `zero_b_rows`: the vertices whose B-row is zero; there u_i = p_i, so the
+    # normal form reads every unitary exponent standing at such a vertex as 0.
+    __slots__ = ("n", "a", "b", "sections", "zero_b_rows")
 
-    def __post_init__(self):
+    def __init__(self, n: int, a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...]):
         """Each rule is one scan in C; only a failed scan looks up the
         entries its message names.  The first entry that is not an integer
         fails first, then the first negative A-entry, then a message listing
         every zero A-row and every B-entry off the support."""
-        if not self.a:
+        if not a:
             raise StructuralError("A is empty")
-        for name, m in (("A", self.a), ("B", self.b)):
-            if len(m) != self.n or any(len(row) != self.n for row in m):
-                raise StructuralError(f"{name} is not a square matrix of size {self.n}")
-        a, b = self.a, self.b
+        for name, m in (("A", a), ("B", b)):
+            if len(m) != n or any(len(row) != n for row in m):
+                raise StructuralError(f"{name} is not a square matrix of size {n}")
         # bool is an int subclass; reject it so JSON `true` cannot sneak in as 1
         if any(t is bool or not issubclass(t, int) for t in set(map(type, chain(*a, *b)))):
             x = next(x for x in chain(*a, *b) if isinstance(x, bool) or not isinstance(x, int))
@@ -53,7 +48,7 @@ class MatrixPair:
                 (i, j, x) for i, row in enumerate(a, 1) for j, x in enumerate(row, 1) if x < 0
             )
             raise StructuralError(f"A[{i}][{j}] = {x} is negative")
-        columns = range(1, self.n + 1)
+        columns = range(1, n + 1)
         sections = tuple(tuple(compress(columns, row)) for row in a)
         if not all(sections) or any(map(any, map(compress, b, map(map, repeat(not_), a)))):
             zero_rows = [f"row {i} of A is zero" for i, js in enumerate(sections, 1) if not js]
@@ -64,8 +59,28 @@ class MatrixPair:
                 if y and not x
             ]
             raise StructuralError("invalid pair: " + "; ".join(zero_rows + off_support))
-        object.__setattr__(self, "sections", sections)
-        object.__setattr__(self, "zero_b_rows", frozenset(compress(columns, map(not_, map(any, b)))))
+        zero_b_rows = frozenset(compress(columns, map(not_, map(any, b))))
+        for name, value in zip(self.__slots__, (n, a, b, sections, zero_b_rows)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete {name!r}: a MatrixPair is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not MatrixPair:
+            return NotImplemented
+        return (self.n, self.a, self.b) == (other.n, other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.n, self.a, self.b))
+
+    def __repr__(self):
+        return f"MatrixPair(n={self.n!r}, a={self.a!r}, b={self.b!r})"
+
+    def __reduce__(self):  # copies and pickles go through the constructor
+        return MatrixPair, (self.n, self.a, self.b)
 
     @staticmethod
     def from_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> "MatrixPair":
@@ -134,17 +149,15 @@ def strongly_connected_components(pair: MatrixPair) -> list[tuple[int, ...]]:
     return components
 
 
-@dataclass(frozen=True)
-class GraphFacts:
-    """The graph conditions on a pair, read off its row sections and one
-    strongly-connected-components pass."""
-
-    condition_e: bool  # B[i][j] != 0 wherever A[i][j] >= 1
-    condition_l: bool  # every cycle of the edge graph has an exit
-    condition_k: bool  # every vertex on a cycle is the base of two distinct cycles
-    irreducible: bool  # a positive-length path joins every ordered pair of vertices
-    cyclic_components: int  # strongly connected components with an internal arc
-    components: tuple[tuple[int, ...], ...]  # sinks first: an arc leads to its own or an earlier one
+# The graph conditions on a pair, read off its row sections and one
+# strongly-connected-components pass:
+#   condition_e        B[i][j] != 0 wherever A[i][j] >= 1
+#   condition_l        every cycle of the edge graph has an exit
+#   condition_k        every vertex on a cycle is the base of two distinct cycles
+#   irreducible        a positive-length path joins every ordered pair of vertices
+#   cyclic_components  strongly connected components with an internal arc
+#   components         sinks first: an arc leads to its own or an earlier one
+GraphFacts = namedtuple("GraphFacts", "condition_e condition_l condition_k irreducible cyclic_components components")
 
 
 def graph_facts(pair: MatrixPair) -> GraphFacts:

@@ -17,7 +17,9 @@ token by token from the same offset, which gives every error.  The reader
 checks every vertex, arc and offset of a text against the pair; the
 constructors downstream check only their own invariants.  A product is
 folded factor by factor as it is read, so parsing takes time linear in the
-letters read and produced.
+letters read and produced.  Loading a pair file needs only `errors` and
+`matrices`: each grammar imports the layers it builds into, and compiles
+its patterns, when it first reads a text.
 
 Everything parses to normalized values, so `format_x(parse_x(text))` is the
 canonical spelling and round-trips.
@@ -28,9 +30,8 @@ from __future__ import annotations
 import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import invsemigroup as isg
-from . import semigroupoid as sgp
 from .errors import (
     ExprParseError,
     SemanticError,
@@ -38,10 +39,16 @@ from .errors import (
     excerpt,
     format_int,
 )
-from .invsemigroup import Factor, ISgElement, PathWord, Zero
-from .ktheory import AbelianGroup, abelian_group
 from .matrices import Edge, MatrixPair
-from .pathspace import EventuallyPeriodicPath, eventually_periodic
+
+if TYPE_CHECKING:
+    from . import semigroupoid as sgp
+    from .invsemigroup import Factor, ISgElement, PathWord
+    from .ktheory import AbelianGroup
+    from .pathspace import EventuallyPeriodicPath
+
+# the package, whose layers each grammar reads on first use (`katsura.__init__`)
+_package = sys.modules[__package__]
 
 
 # Parenthesized groups nest at most this deep; the expression parser
@@ -49,8 +56,22 @@ from .pathspace import EventuallyPeriodicPath, eventually_periodic
 NESTING_LIMIT = 100
 
 
-_WS = re.compile("[ \t]*")
-_INTEGER = re.compile("[+-]?[0-9]+")
+class _Pattern:
+    """A regular expression compiled at its first match, not at import.  That
+    match puts the compiled pattern in place of this one among the module's
+    globals, so that every later match costs what a compiled pattern's does."""
+
+    def __init__(self, source: str):
+        self.source = source
+
+    def match(self, text: str, pos: int = 0) -> re.Match | None:
+        compiled = re.compile(self.source)
+        globals().update([(name, compiled) for name, value in globals().items() if value is self])
+        return compiled.match(text, pos)
+
+
+_WS = _Pattern("[ \t]*")
+_INTEGER = _Pattern("[+-]?[0-9]+")
 
 
 class _Atom:
@@ -67,13 +88,13 @@ class _Atom:
         self.source = re.escape(self.head) + body + suffix
 
 
-def _loop(separator: str, closers: str, *atoms: str) -> re.Pattern:
+def _loop(separator: str, closers: str, *atoms: str) -> _Pattern:
     """The pattern of one plain factor in a product loop: whitespace, one of
     the `atoms` sources, whitespace, and then `separator` (the last group)
     or, left unread, one of `closers`.  Any other follower, such as a second
     postfix, fails the match: no integer can give up its last digits to make
     it match, since a digit is neither a separator nor a closer."""
-    return re.compile(f"[ \t]*(?:{'|'.join(atoms)})[ \t]*(?:({re.escape(separator)})|(?={closers}))")
+    return _Pattern(f"[ \t]*(?:{'|'.join(atoms)})[ \t]*(?:({re.escape(separator)})|(?={closers}))")
 
 
 class _Scanner:
@@ -162,7 +183,7 @@ def _arc(pair: MatrixPair, i: int, j: int) -> int:
     return pair.a[i - 1][j - 1] if 0 < i <= pair.n and 0 < j <= pair.n else 0
 
 
-_SEMIGROUPOID_HEAD = re.compile("[ \t]*[hg][ \t]*\\(")
+_SEMIGROUPOID_HEAD = _Pattern("[ \t]*[hg][ \t]*\\(")
 
 
 def looks_like_semigroupoid(text: str) -> bool:
@@ -177,6 +198,7 @@ _SEMIGROUPOID_LOOP = _loop(".", "\\Z", _H.source, _G.source)
 
 
 def parse_semigroupoid(text: str, pair: MatrixPair) -> sgp.SgpElement:
+    sgp = _package.semigroupoid
     sc = _Scanner(text)
     atoms: list[sgp.RawAtom] = []
     more = True
@@ -216,7 +238,7 @@ def parse_semigroupoid(text: str, pair: MatrixPair) -> sgp.SgpElement:
 
 
 def format_semigroupoid(e: sgp.SgpElement) -> str:
-    if isinstance(e, sgp.HPower):
+    if isinstance(e, _package.semigroupoid.HPower):
         return f"h({e.vertex})" if e.exponent == 1 else f"h({e.vertex})^{format_int(e.exponent)}"
     *interior, (i, j, n) = e.edges
     # interior offsets lie in [1, A]; only the free final offset can be too long to print
@@ -238,10 +260,11 @@ def parse_isg(text: str, pair: MatrixPair) -> ISgElement:
     sc = _Scanner(text)
     result = _parse_isg_product(sc, pair, text, 0)
     sc.done()
-    return isg._element(pair, result)
+    return _package.invsemigroup._element(pair, result)
 
 
 def _parse_isg_product(sc: _Scanner, pair: MatrixPair, text: str, depth: int) -> Factor:
+    isg = _package.invsemigroup
     product = None
     more = True
     while more:
@@ -276,6 +299,7 @@ def _parse_isg_product(sc: _Scanner, pair: MatrixPair, text: str, depth: int) ->
 
 
 def _parse_isg_factor(sc: _Scanner, pair: MatrixPair, text: str, depth: int) -> Factor:
+    isg = _package.invsemigroup
     pos = sc.pos
     if (s := sc.atom(_S)) is not None:
         i, j, n = s
@@ -309,7 +333,7 @@ def _parse_isg_factor(sc: _Scanner, pair: MatrixPair, text: str, depth: int) -> 
 
 
 def format_isg(e: ISgElement) -> str:
-    if isinstance(e, Zero):
+    if isinstance(e, _package.invsemigroup.Zero):
         return "0"
     parts = [f"s({i},{j},{n})" for i, j, n in e.left.edges]
     if e.exponent:
@@ -366,6 +390,7 @@ def _finish_path(sc: _Scanner, pair: MatrixPair, text: str, edges: tuple) -> Pat
     """The path word of a literal's edges and its `@v` suffix, which may
     restate the first edge's source and must name the vertex of an empty
     literal; None for an empty literal with no suffix."""
+    PathWord = _package.invsemigroup.PathWord
     if edges:
         base = edges[0][0]
         if sc.try_take("@"):
@@ -398,8 +423,9 @@ def parse_periodic_path(text: str, pair: MatrixPair) -> EventuallyPeriodicPath:
     sc.done()
     if not per_edges:
         raise SemanticError("the periodic part must be nonempty")
+    PathWord = _package.invsemigroup.PathWord
     per = PathWord(per_edges[0][0], per_edges)
-    return eventually_periodic(PathWord(per.base) if pre is None else pre, per)
+    return _package.pathspace.eventually_periodic(PathWord(per.base) if pre is None else pre, per)
 
 
 def is_periodic_literal(text: str) -> bool:
@@ -448,7 +474,7 @@ def parse_group(text: str) -> AbelianGroup:
     sc.done()
     if saw_zero and (free or cyclic):
         raise SemanticError("0 cannot be summed with other terms")
-    return abelian_group(free, cyclic)
+    return _package.ktheory.abelian_group(free, cyclic)
 
 
 def format_group(grp: AbelianGroup) -> str:

@@ -232,7 +232,7 @@ class TestAnalyze:
             counting("scc", matrices.strongly_connected_components),
         )
         monkeypatch.setattr(matrices, "graph_facts", counting("facts", matrices.graph_facts))
-        monkeypatch.setattr(MatrixPair, "__post_init__", counting("check", MatrixPair.__post_init__))
+        monkeypatch.setattr(MatrixPair, "__init__", counting("check", MatrixPair.__init__))
         rep = analyze(E1)
         assert rep.topologically_free.value == "yes"  # the escape verdict was computed
         assert calls == {"diagonal": 2, "smith": 0, "facts": 1, "scc": 1, "check": 0}

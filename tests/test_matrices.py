@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 
@@ -170,6 +172,47 @@ class TestValidate:
             "valid", "valid with an int subclass", "valid with a huge entry", "valid with a zero B-row",
             "empty", "square", "integer", "negative", "is zero", "nonzero but",
         }
+
+
+class TestPairContract:
+    """What callers may rely on in a pair and its graph facts, whatever
+    class machinery provides it."""
+
+    def test_repr(self):
+        assert repr(pair_of([[2]], [[1]])) == "MatrixPair(n=1, a=((2,),), b=((1,),))"
+        assert repr(E1) == "MatrixPair(n=2, a=((2, 1), (1, 2)), b=((1, 1), (1, 1)))"
+
+    def test_equality_and_hash(self):
+        p = MatrixPair(n=2, a=((2, 1), (1, 2)), b=((1, 1), (1, 1)))
+        assert p == E1 and hash(p) == hash(E1) and len({p, E1}) == 1
+        assert p != pair_of([[2, 1], [1, 2]], [[1, 1], [1, 0]])
+        assert p != (2, p.a, p.b) and (2, p.a, p.b) != p
+        assert MatrixPair(2, a=p.a, b=p.b) == MatrixPair(2, p.a, p.b) == p
+
+    def test_immutable(self):
+        p = pair_of([[2]], [[1]])
+        for name in ("n", "a", "sections", "zero_b_rows", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        assert p == pair_of([[2]], [[1]]) and p.sections == ((1,),)
+
+    def test_copy_and_pickle_round_trip(self):
+        pair = pair_of([[2, 1, 0], [1, 2, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 0], [0, 0, 0]])
+        for twin in (copy.copy(pair), copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
+            assert twin == pair and hash(twin) == hash(pair) and repr(twin) == repr(pair)
+            assert twin.sections == pair.sections and twin.zero_b_rows == pair.zero_b_rows == {2, 3}
+
+    def test_graph_facts_are_a_read_only_record(self):
+        facts = graph_facts(E1)
+        assert (facts.condition_e, facts.condition_l, facts.condition_k, facts.irreducible) == (True,) * 4
+        assert facts.cyclic_components == 1 and facts.components == ((1, 2),)
+        assert facts == graph_facts(pair_of(E1.a, E1.b))
+        with pytest.raises(AttributeError):
+            facts.irreducible = False
+        with pytest.raises(AttributeError):
+            del facts.components
 
 
 class TestConditionE:

@@ -25,8 +25,9 @@ ROOT = Path(__file__).resolve().parents[1]
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # called from outside the scanned code: argparse calls `error` on a bad
-# command line
-CALLED_ELSEWHERE = {"cli._Parser.error"}
+# command line, and the import system calls the package's `__getattr__` and
+# `__dir__` (PEP 562) for a public name not yet loaded and for `dir(katsura)`
+CALLED_ELSEWHERE = {"cli._Parser.error", "__init__.__getattr__", "__init__.__dir__"}
 
 # named only by perfbench, the tests and the docs
 PERFBENCH_ONLY = {
