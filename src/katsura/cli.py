@@ -158,9 +158,10 @@ def _cmd_realize(args) -> int:
 
 def _cmd_normalize(args) -> int:
     pair = _load_pair(args.file)
-    elem = parsing.parse_element(args.expr, pair)
-    semigroupoid = parsing.looks_like_semigroupoid(args.expr)  # as parse_element decides
-    print((parsing.format_semigroupoid if semigroupoid else parsing.format_isg)(elem))
+    if parsing.looks_like_semigroupoid(args.expr):
+        print(parsing.format_semigroupoid(parsing.parse_semigroupoid(args.expr, pair)))
+    else:
+        print(parsing.format_isg(parsing.parse_isg(args.expr, pair)))
     return EXIT_OK
 
 

@@ -53,14 +53,6 @@ class Verdict:
         if not self.reasons:
             raise StructuralError("a verdict must cite at least one reason")
 
-    @property
-    def is_yes(self) -> bool:
-        return self.value == "yes"
-
-    @property
-    def is_no(self) -> bool:
-        return self.value == "no"
-
 
 def _yes(tag: str, text: str) -> Verdict:
     return Verdict("yes", (Reason(tag, text),))
@@ -184,7 +176,7 @@ def _freeness(pair: MatrixPair, facts: matrices.GraphFacts) -> Verdict:
             "a vanishing B-entry on the support yields a fixed cylinder",
         )
     escape = fixed_point_escape(pair, facts)
-    if escape.is_no:
+    if escape.value == "no":
         return Verdict("no", escape.reasons)
     return Verdict(
         "yes",
@@ -211,16 +203,16 @@ def _simplicity(facts: matrices.GraphFacts, minimal: Verdict, top_free: Verdict)
         requires_e = Reason("requires-condition-E", "the simplicity characterization assumes B nonzero on the support")
         return Verdict("unknown", (requires_e, _FIXED_POINT_READING))
     for v in (minimal, top_free):
-        if v.is_no:
+        if v.value == "no":
             return Verdict("no", v.reasons + (_FIXED_POINT_READING,))
     return Verdict("yes", minimal.reasons + top_free.reasons + (_FIXED_POINT_READING,))
 
 
 def _pure_infiniteness(simple: Verdict) -> Verdict:
-    if simple.is_yes:
+    if simple.value == "yes":
         contracting = Reason("locally-contracting", "condition L makes the groupoid locally contracting")
         return Verdict("yes", simple.reasons + (contracting,))
-    if simple.is_no:
+    if simple.value == "no":
         return _no("not-simple", "a non-simple algebra is not purely infinite simple")
     return Verdict("unknown", simple.reasons)
 

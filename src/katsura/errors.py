@@ -25,10 +25,6 @@ class DomainError(KatsuraError):
     """Operation applied outside its mathematical domain."""
 
 
-class CompositionError(KatsuraError):
-    """A raw word contains a non-composable adjacent pair."""
-
-
 class SemanticError(KatsuraError):
     """A syntactically valid expression refers to data outside the loaded pair."""
 

@@ -25,10 +25,6 @@ class PathWord:
     edges: tuple[Edge, ...] = ()
 
     @property
-    def source(self) -> int:
-        return self.base
-
-    @property
     def target(self) -> int:
         return self.edges[-1][1] if self.edges else self.base
 
@@ -61,10 +57,6 @@ class Triple:
     left: PathWord
     exponent: int
     right: PathWord
-
-    @property
-    def range_vertex(self) -> int:
-        return self.left.target
 
 
 ISgElement = Triple | Zero

@@ -336,12 +336,12 @@ def format_isg(e: ISgElement) -> str:
     if isinstance(e, _package.invsemigroup.Zero):
         return "0"
     parts = [f"s({i},{j},{n})" for i, j, n in e.left.edges]
+    v = e.left.target
     if e.exponent:
-        v = e.range_vertex
         parts.append(f"u({v})" if e.exponent == 1 else f"u({v})^{format_int(e.exponent)}")
     parts.extend(f"s({i},{j},{n})*" for i, j, n in reversed(e.right.edges))
     if not parts:
-        return f"q({e.range_vertex})"
+        return f"q({v})"
     return ".".join(parts)
 
 
@@ -519,11 +519,3 @@ def parse_matrix_file(data: bytes | str) -> MatrixPair:
     if len(a) != n or len(b) != n:
         raise StructuralError(f"A and B must have {n} rows")
     return MatrixPair.from_rows(a, b)
-
-
-def parse_element(text: str, pair: MatrixPair):
-    """Dispatch on the grammar: h/g atoms denote semigroupoid elements,
-    everything else is a partial isometry expression."""
-    if looks_like_semigroupoid(text):
-        return parse_semigroupoid(text, pair)
-    return parse_isg(text, pair)

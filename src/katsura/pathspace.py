@@ -46,9 +46,9 @@ def eventually_periodic(pre: PathWord, per: PathWord) -> EventuallyPeriodicPath:
     """Canonical form: primitive period, maximally rotated into the preperiod."""
     if not per.edges:
         raise StructuralError("period must be nonempty")
-    if per.source != per.target:
+    if per.base != per.target:
         raise StructuralError("period is not a cycle")
-    if pre.target != per.source:
+    if pre.target != per.base:
         raise StructuralError("period does not start at the preperiod's range vertex")
     per_edges = _primitive_root(per.edges)
     pre_edges = list(pre.edges)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import CompositionError, DomainError, format_int
+from .errors import DomainError, format_int
 from .invsemigroup import push_unitary
 from .matrices import Edge, MatrixPair
 
@@ -86,9 +86,10 @@ def _spell(atom: RawAtom) -> str:
 def standard_form(pair: MatrixPair, word: Sequence[RawAtom]) -> SgpElement:
     """The unique standard form of the element a raw word denotes, in one
     pass: each atom is checked against the pair and its left neighbour and
-    absorbed in the same step.  Of several faults, the leftmost is reported."""
+    absorbed in the same step.  A fault is a DomainError; of several, the
+    leftmost is reported."""
     if not word:
-        raise CompositionError("empty word")
+        raise DomainError("empty word")
     edges: list[Edge] = []
     pending = 0  # h-exponent waiting to be absorbed into the next g-atom
     end = 0  # the target vertex of the atoms read so far
@@ -96,16 +97,16 @@ def standard_form(pair: MatrixPair, word: Sequence[RawAtom]) -> SgpElement:
         if isinstance(atom, HAtom):
             i = j = atom.vertex
             if not 1 <= i <= pair.n:
-                raise CompositionError(f"vertex {i} out of range")
+                raise DomainError(f"vertex {i} out of range")
             pending += atom.exponent
         else:
             i, j, n = atom
             if not (1 <= i <= pair.n and 1 <= j <= pair.n) or pair.a_at(i, j) == 0:
-                raise CompositionError(f"({i},{j}) is not a support arc")
+                raise DomainError(f"({i},{j}) is not a support arc")
             edges.append((i, j, n + pending * pair.b_at(i, j)))
             pending = 0
         if k and i != end:
-            raise CompositionError(f"non-composable adjacency: {_spell(word[k - 1])} then {_spell(atom)}")
+            raise DomainError(f"non-composable adjacency: {_spell(word[k - 1])} then {_spell(atom)}")
         end = j
     if not edges:
         if pending < 1:

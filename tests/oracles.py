@@ -10,9 +10,10 @@ a plain matrix product for Smith witnesses, the Smith diagonal and a
 rank and determinant modulo a prime for the witness-free diagonal form,
 the integrality trace K_j = l . prod B/A term by term, a capped search of
 the trace's state graph for cylinders of fixed points, a backward search
-per coprime factor for the escape that `fixed_point_escape` reads off the
-components, and the product of two partial isometries taken whole, the
-oracle of the factor-by-factor fold behind `multiply` and `parse_isg`.  A
+per prime, found by trial division, for the escape that
+`fixed_point_escape` reads off the components over a coprime basis, and
+the product of two partial isometries taken whole, the oracle of the
+factor-by-factor fold behind `multiply` and `parse_isg`.  A
 scan of cylinder depths up to a cap is the oracle of the one-depth
 `germ_equal`.  Divisibility in the semigroupoid, which the library never
 decides, is found by building the one candidate quotient and checking it
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from katsura.decisions import Reason, Verdict, _coprime_basis, _no, _valuation, _yes
+from katsura.decisions import Reason, Verdict
 from katsura.errors import DomainError, StructuralError, format_int
 from katsura.invsemigroup import (
     ZERO,
@@ -368,41 +369,56 @@ def katsura_classic_check(pair: MatrixPair) -> Verdict:
     )
 
 
+def _prime_exponents(x: int) -> dict[int, int]:
+    """The primes of |x| > 0 with their exponents, by trial division."""
+    x, out, p = abs(x), {}, 2
+    while p * p <= x:
+        while x % p == 0:
+            out[p] = out.get(p, 0) + 1
+            x //= p
+        p += 1
+    if x > 1:
+        out[x] = out.get(x, 0) + 1
+    return out
+
+
 def escape_by_predecessor_search(pair: MatrixPair) -> Verdict:
-    """The fixed-point escape with its own reachability: the oracle of
-    `fixed_point_escape`, which reads the components of `graph_facts`.
+    """The fixed-point escape with its own reachability and its own primes:
+    the oracle of `fixed_point_escape`, which reads the components of
+    `graph_facts` and splits the entries into a coprime basis.
 
     u(w)^l fixes a path from w iff its integrality trace l * prod B/A stays
     integral along the path.  A zero B-entry on a support arc (i, j) zeroes
     the trace, so u(i) fixes the cylinder [(i,j,1)].  Otherwise, for each
-    element q of a coprime basis of the nonzero A- and B-entries, the
-    exponent of q in the trace moves by v_q(B[i][j]) - v_q(A[i][j]) along
-    arc (i, j).  A vertex that reaches a closed walk of negative q-weight
-    escapes: pumping that walk drives any integer trace to a fraction.  A
-    vertex w that reaches no such walk for any q has finite least walk
-    weights d_q(w) <= 0, and u(w)^l with l = prod q^(-d_q(w)) fixes every
-    path from w.  Bellman-Ford from all vertices at once gives d_q; an arc
-    that still relaxes after N rounds starts at a vertex that reaches a
-    negative closed walk, and so does every vertex that reaches it, found
-    by a backward search over a predecessor map for each q.
+    prime p of the nonzero A- and B-entries, the exponent of p in the trace
+    moves by v_p(B[i][j]) - v_p(A[i][j]) along arc (i, j).  A vertex that
+    reaches a closed walk of negative p-weight escapes: pumping that walk
+    drives any integer trace to a fraction.  A vertex w that reaches no
+    such walk for any p has finite least walk weights d_p(w) <= 0, and
+    u(w)^l with l = prod p^(-d_p(w)) fixes every path from w.  Bellman-Ford
+    from all vertices at once gives d_p; an arc that still relaxes after N
+    rounds starts at a vertex that reaches a negative closed walk, and so
+    does every vertex that reaches it, found by a backward search over a
+    predecessor map for each p.
+
+    The library's coprime basis gives the same answer: each prime p divides
+    exactly one basis element q, and p's arc weights are v_p(q) times q's,
+    so prod p^(-d_p(w)) = prod q^(-d_q(w)).
     """
     arcs = [(i, j) for i, js in enumerate(pair.sections, 1) for j in js]
     for i, j in arcs:
         if pair.b_at(i, j) == 0:
-            return _no(
-                "fixed-cylinder",
-                f"u({i})^1 fixes the cylinder [({i},{j},1)]: B[{i}][{j}] = 0 zeroes the trace",
-            )
+            text = f"u({i})^1 fixes the cylinder [({i},{j},1)]: B[{i}][{j}] = 0 zeroes the trace"
+            return Verdict("no", (Reason("fixed-cylinder", text),))
     preds: dict[int, list[int]] = {v: [] for v in pair.vertices}
     for i, j in arcs:
         preds[j].append(i)
+    in_a = {(i, j): _prime_exponents(pair.a_at(i, j)) for i, j in arcs}
+    in_b = {(i, j): _prime_exponents(pair.b_at(i, j)) for i, j in arcs}
     escaping: set[int] = set()
     least: list[tuple[int, dict[int, int]]] = []
-    for q in _coprime_basis(x for i, j in arcs for x in (pair.a_at(i, j), pair.b_at(i, j))):
-        weighted = [
-            (i, j, _valuation(pair.b_at(i, j), q) - _valuation(pair.a_at(i, j), q))
-            for i, j in arcs
-        ]
+    for p in set().union(*in_a.values(), *in_b.values()):
+        weighted = [(i, j, in_b[i, j].get(p, 0) - in_a[i, j].get(p, 0)) for i, j in arcs]
         d = dict.fromkeys(pair.vertices, 0)
         for _ in range(pair.n):
             changed = False
@@ -420,19 +436,20 @@ def escape_by_predecessor_search(pair: MatrixPair) -> Verdict:
                     draining.add(u)
                     frontier.append(u)
         escaping |= draining
-        least.append((q, d))
+        least.append((p, d))
     stuck = [v for v in pair.vertices if v not in escaping]
     if not stuck:
-        return _yes(
-            "valuation-escape",
+        text = (
             "every vertex reaches a closed walk along which some coprime factor's"
-            " exponent in the product B/A is negative",
+            " exponent in the product B/A is negative"
         )
+        return Verdict("yes", (Reason("valuation-escape", text),))
     w = stuck[0]
     l = 1
-    for q, d in least:
-        l *= q ** -d[w]
-    return _no("fixed-cylinder", f"u({w})^{format_int(l)} fixes the whole cylinder of vertex {w}")
+    for p, d in least:
+        l *= p ** -d[w]
+    text = f"u({w})^{format_int(l)} fixes the whole cylinder of vertex {w}"
+    return Verdict("no", (Reason("fixed-cylinder", text),))
 
 
 def integrality_trace(

@@ -250,7 +250,7 @@ def test_criterion_06_push_unitary_soundness():
         pair = random_pair(rng, n_max=4, a_max=3)
         p = random_path_word(rng, pair, max_len=5)
         t = rng.randint(-8, 8)
-        pushed, residual = push_unitary(pair, p.source, t, p.edges)
+        pushed, residual = push_unitary(pair, p.base, t, p.edges)
         assert _flatten(pair, t, p.edges, 0) == _flatten(pair, 0, pushed, residual)
     print("\nACCEPTANCE 6: PASS - 1000 carry propagations match the flattened normal form")
 

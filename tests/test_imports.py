@@ -3,7 +3,8 @@
 `import katsura` loads no module of the package; each name of `__all__`
 loads its own module on first access.  Loading a pair needs only `errors`,
 `matrices` and `parsing`, and not `dataclasses`.  The report commands of
-the CLI never load the element layers.  Counting modules, not
+the CLI never load the element layers, and an element command loads only
+those of its grammar and operation.  Counting modules, not
 milliseconds, makes the gate deterministic; each set is read against what
 an empty interpreter already holds.
 """
@@ -15,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -74,6 +77,35 @@ def test_report_commands_load_no_element_layer(tmp_path):
     added = _added(code, _pair_file(tmp_path))
     assert "katsura.decisions" in added and "katsura.ktheory" in added
     assert not added & ELEMENT_LAYERS
+
+
+# each element command, `PAIR` standing for the pair file, and the layers
+# it adds to `cli`, `errors`, `matrices` and `parsing`
+ELEMENT_COMMANDS = [
+    (["normalize", "s(1,1,1).u(1)^2.s(1,2,1)*", "PAIR"], {"invsemigroup"}),
+    (["mul", "s(1,1,1)", "u(1)", "PAIR"], {"invsemigroup"}),
+    (["normalize", "g(1,1,3).h(1)", "PAIR"], {"invsemigroup", "semigroupoid"}),
+    (["lcm", "g(1,1,1)", "g(1,1,3)", "PAIR"], {"invsemigroup", "semigroupoid"}),
+    (["act", "s(2,1,1)", "[(1,1,2)]", "PAIR"], {"invsemigroup", "pathspace"}),
+    (["fixedpoint", "s(1,1,1).u(1)", "PAIR", "--depth", "12"], {"invsemigroup", "pathspace"}),
+    (["germ-eq", "u(1)", "q(1)", "PAIR", "--at", "[] ~ [(1,1,1)]"], {"invsemigroup", "pathspace"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, layers", ELEMENT_COMMANDS, ids=[f"{argv[0]} {argv[1]}" for argv, _ in ELEMENT_COMMANDS]
+)
+def test_element_command_loads_only_its_layers(tmp_path, argv, layers):
+    code = (
+        "import contextlib, io\n"
+        "from katsura import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(json.loads(sys.argv[2])) == 0\n"
+    )
+    argv = [_pair_file(tmp_path) if arg == "PAIR" else arg for arg in argv]
+    added = _added(code, json.dumps(argv))
+    base = {"katsura", "katsura.cli", "katsura.errors", "katsura.matrices", "katsura.parsing"}
+    assert {m for m in added if m.startswith("katsura")} == base | {f"katsura.{m}" for m in layers}
 
 
 def test_every_public_name_resolves():

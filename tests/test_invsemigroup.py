@@ -69,9 +69,9 @@ class TestPushSoundness:
             pair = random_pair(rng, n_max=3, a_max=3)
             p = random_path_word(rng, pair, max_len=4)
             t = rng.randint(-6, 6)
-            pushed, residual = push_unitary(pair, p.source, t, p.edges)
-            assert flatten(pair, p.source, t, p.edges, 0) == flatten(
-                pair, p.source, 0, pushed, residual
+            pushed, residual = push_unitary(pair, p.base, t, p.edges)
+            assert flatten(pair, p.base, t, p.edges, 0) == flatten(
+                pair, p.base, 0, pushed, residual
             )
 
 

@@ -157,7 +157,7 @@ class TestActOnPrefix:
             elif is_prefix(j_word, gamma):
                 shape = "extension"
                 _, pushed_past = push_unitary(pair, j_word.target, s.exponent, gamma.edges[len(j_word):])
-                at_zero_rows += out.range_vertex in pair.zero_b_rows and pushed_past != 0
+                at_zero_rows += out.left.target in pair.zero_b_rows and pushed_past != 0
             else:
                 shape = "off"
             seen[shape, bool(pair.zero_b_rows)] += 1
