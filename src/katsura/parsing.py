@@ -336,12 +336,12 @@ def format_isg(e: ISgElement) -> str:
     if isinstance(e, _package.invsemigroup.Zero):
         return "0"
     parts = [f"s({i},{j},{n})" for i, j, n in e.left.edges]
-    v = e.left.target
     if e.exponent:
+        v = e.left.target
         parts.append(f"u({v})" if e.exponent == 1 else f"u({v})^{format_int(e.exponent)}")
     parts.extend(f"s({i},{j},{n})*" for i, j, n in reversed(e.right.edges))
     if not parts:
-        return f"q({v})"
+        return f"q({e.left.target})"
     return ".".join(parts)
 
 

@@ -307,25 +307,28 @@ class TestLinearChains:
             parse_isg(".".join([unit] * (LETTER_BUDGET + 1)), pair)
 
 
-def parse_element(text, pair):
-    """The grammar `katsura normalize` reads a text with: h/g atoms denote
-    semigroupoid elements, everything else is a partial isometry expression."""
-    return (parse_semigroupoid if looks_like_semigroupoid(text) else parse_isg)(text, pair)
-
-
 class TestElementDispatch:
+    """`katsura normalize` reads a text with the semigroupoid grammar when
+    `looks_like_semigroupoid` says so, and with the partial isometry grammar
+    otherwise; tests/test_cli.py runs both branches through the command."""
+
     def test_sgp_by_prefix(self):
-        assert isinstance(parse_element("h(1)", E1), HPower)
-        assert isinstance(parse_element("g(1,1,1)", E1), GWord)
+        assert looks_like_semigroupoid("h(1)") and looks_like_semigroupoid("g(1,1,1)")
+        assert isinstance(parse_semigroupoid("h(1)", E1), HPower)
+        assert isinstance(parse_semigroupoid("g(1,1,1)", E1), GWord)
 
     @pytest.mark.parametrize("space", [" ", "\t", " \t ", "\t\t"])
     def test_leading_whitespace_is_spaces_and_tabs(self, space):
-        assert parse_element(space + "h(1)", E1) == HPower(1, 1)
-        assert parse_element(space + "g(1,1,1)", E1) == GWord(((1, 1, 1),))
-        assert parse_element(space + "q(1)", E1) == projection_q(E1, 1)
+        assert looks_like_semigroupoid(space + "h(1)")
+        assert looks_like_semigroupoid(space + "g(1,1,1)")
+        assert not looks_like_semigroupoid(space + "q(1)")
+        assert parse_semigroupoid(space + "h(1)", E1) == HPower(1, 1)
+        assert parse_semigroupoid(space + "g(1,1,1)", E1) == GWord(((1, 1, 1),))
+        assert parse_isg(space + "q(1)", E1) == projection_q(E1, 1)
 
     def test_isg_otherwise(self):
-        assert isinstance(parse_element("q(1)", E1), Triple)
+        assert not looks_like_semigroupoid("q(1)")
+        assert isinstance(parse_isg("q(1)", E1), Triple)
 
 
 class TestPathLiterals:
