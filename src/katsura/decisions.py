@@ -54,20 +54,12 @@ class Verdict:
             raise StructuralError("a verdict must cite at least one reason")
 
 
-def _yes(tag: str, text: str) -> Verdict:
-    return Verdict("yes", (Reason(tag, text),))
-
-
-def _no(tag: str, text: str) -> Verdict:
-    return Verdict("no", (Reason(tag, text),))
-
-
-def _unknown(tag: str, text: str) -> Verdict:
-    return Verdict("unknown", (Reason(tag, text),))
+def _verdict(value: str, tag: str, text: str) -> Verdict:
+    return Verdict(value, (Reason(tag, text),))
 
 
 def _bool_verdict(flag: bool, name: str, yes_text: str, no_text: str) -> Verdict:
-    return _yes(name, yes_text) if flag else _no(f"not-{name}", no_text)
+    return _verdict("yes", name, yes_text) if flag else _verdict("no", f"not-{name}", no_text)
 
 
 def _coprime_basis(numbers) -> list[int]:
@@ -152,7 +144,8 @@ def fixed_point_escape(pair: MatrixPair, facts: matrices.GraphFacts) -> Verdict:
             escaping.update(members)
     stuck = [v for v in pair.vertices if v not in escaping]
     if not stuck:
-        return _yes(
+        return _verdict(
+            "yes",
             "valuation-escape",
             "every vertex reaches a closed walk along which some coprime factor's"
             " exponent in the product B/A is negative",
@@ -161,31 +154,7 @@ def fixed_point_escape(pair: MatrixPair, facts: matrices.GraphFacts) -> Verdict:
     l = 1
     for q, d in least:
         l *= q ** -d[w]
-    return _no("fixed-cylinder", f"u({w})^{format_int(l)} fixes the whole cylinder of vertex {w}")
-
-
-def _freeness(pair: MatrixPair, facts: matrices.GraphFacts) -> Verdict:
-    """Exact: the action is topologically free iff condition (L), condition
-    (E) and the fixed-point escape condition hold.  The escape is run only
-    once both conditions hold, the one place a verdict reads it."""
-    if not facts.condition_l:
-        return _no("condition-L-fails", "an exit-free cycle makes its fixed point isolated")
-    if not facts.condition_e:
-        return _no(
-            "condition-E-fails",
-            "a vanishing B-entry on the support yields a fixed cylinder",
-        )
-    escape = fixed_point_escape(pair, facts)
-    if escape.value == "no":
-        return Verdict("no", escape.reasons)
-    return Verdict(
-        "yes",
-        (
-            Reason("condition-L", "every cycle has an exit"),
-            Reason("condition-E", "B nonzero on the support"),
-        )
-        + escape.reasons,
-    )
+    return _verdict("no", "fixed-cylinder", f"u({w})^{format_int(l)} fixes the whole cylinder of vertex {w}")
 
 
 _FIXED_POINT_READING = Reason(
@@ -193,28 +162,10 @@ _FIXED_POINT_READING = Reason(
     "fixed points examined are those of vertex unitary powers and their"
     " cycle conjugates; general isotropy reduces to these",
 )
-
-
-def _simplicity(facts: matrices.GraphFacts, minimal: Verdict, top_free: Verdict) -> Verdict:
-    """Under condition (E), simple iff minimal and topologically free; each
-    No cites the first verdict that fails.  Without (E) the
-    characterization is unavailable."""
-    if not facts.condition_e:
-        requires_e = Reason("requires-condition-E", "the simplicity characterization assumes B nonzero on the support")
-        return Verdict("unknown", (requires_e, _FIXED_POINT_READING))
-    for v in (minimal, top_free):
-        if v.value == "no":
-            return Verdict("no", v.reasons + (_FIXED_POINT_READING,))
-    return Verdict("yes", minimal.reasons + top_free.reasons + (_FIXED_POINT_READING,))
-
-
-def _pure_infiniteness(simple: Verdict) -> Verdict:
-    if simple.value == "yes":
-        contracting = Reason("locally-contracting", "condition L makes the groupoid locally contracting")
-        return Verdict("yes", simple.reasons + (contracting,))
-    if simple.value == "no":
-        return _no("not-simple", "a non-simple algebra is not purely infinite simple")
-    return Verdict("unknown", simple.reasons)
+# without (L) the action is not topologically free, with or without (E);
+# under both, freeness is the escape's answer, and a Yes cites them first
+_L_FAILS = _verdict("no", "condition-L-fails", "an exit-free cycle makes its fixed point isolated")
+_L_AND_E = (Reason("condition-L", "every cycle has an exit"), Reason("condition-E", "B nonzero on the support"))
 
 
 @dataclass(frozen=True)
@@ -246,8 +197,13 @@ class AnalysisReport:
 
 def analyze(pair: MatrixPair) -> AnalysisReport:
     """Full report on the pair, the one source of its verdicts.  Each graph
-    fact comes from one pass, and topological freeness runs the fixed-point
-    escape under conditions (E) and (L)."""
+    fact comes from one pass.  Every verdict that needs condition (E) is
+    decided in one branch: under (E) the action is topologically free iff
+    (L) holds and the fixed-point escape says Yes (the one place a verdict
+    reads it), and the algebra is simple iff minimal and topologically
+    free, each No citing the first of the two that fails.  Without (E)
+    topological freeness reads No, and the criteria that assume (E) read
+    Unknown."""
     facts = matrices.graph_facts(pair)
     minimal = _bool_verdict(
         facts.cyclic_components == 1,
@@ -261,19 +217,42 @@ def analyze(pair: MatrixPair) -> AnalysisReport:
         "every cycle of the edge graph has an exit",
         "some cycle of the edge graph is exit-free",
     )
-    top_free = _freeness(pair, facts)
-    simple = _simplicity(facts, minimal, top_free)
     if facts.condition_e:
+        if not facts.condition_l:
+            top_free = _L_FAILS
+        else:
+            escape = fixed_point_escape(pair, facts)
+            top_free = escape if escape.value == "no" else Verdict("yes", _L_AND_E + escape.reasons)
         ess_principal = top_free
-        hausdorff = _yes("condition-E", "all elements epic, so germs separate")
+        hausdorff = _verdict("yes", "condition-E", "all elements epic, so germs separate")
+        failed = minimal if minimal.value == "no" else top_free
+        if failed.value == "no":
+            simple = Verdict("no", failed.reasons + (_FIXED_POINT_READING,))
+        else:
+            simple = Verdict("yes", minimal.reasons + top_free.reasons + (_FIXED_POINT_READING,))
     else:
-        ess_principal = _unknown(
+        if not facts.condition_l:
+            top_free = _L_FAILS
+        else:
+            top_free = _verdict("no", "condition-E-fails", "a vanishing B-entry on the support yields a fixed cylinder")
+        ess_principal = _verdict(
+            "unknown",
             "requires-condition-E",
             "the germ-level equivalence is only available when B is nonzero on the support",
         )
-        hausdorff = _unknown(
-            "requires-condition-E", "Hausdorffness is only certified when condition (E) holds"
+        hausdorff = _verdict(
+            "unknown", "requires-condition-E", "Hausdorffness is only certified when condition (E) holds"
         )
+        requires_e = Reason("requires-condition-E", "the simplicity characterization assumes B nonzero on the support")
+        simple = Verdict("unknown", (requires_e, _FIXED_POINT_READING))
+    # a simple algebra with a locally contracting groupoid is purely infinite
+    if simple.value == "yes":
+        contracting = Reason("locally-contracting", "condition L makes the groupoid locally contracting")
+        pure_infinite = Verdict("yes", simple.reasons + (contracting,))
+    elif simple.value == "no":
+        pure_infinite = _verdict("no", "not-simple", "a non-simple algebra is not purely infinite simple")
+    else:
+        pure_infinite = Verdict("unknown", simple.reasons)
     notes = []
     if len(pair.zero_b_rows) == pair.n:
         notes.append(
@@ -281,7 +260,7 @@ def analyze(pair: MatrixPair) -> AnalysisReport:
             "the vertex unitaries collapse to projections"
         )
     return AnalysisReport(
-        condition0=_yes("condition-0", "no zero row in A and B supported inside A"),
+        condition0=_verdict("yes", "condition-0", "no zero row in A and B supported inside A"),
         condition_e=_bool_verdict(
             facts.condition_e,
             "condition-E",
@@ -307,9 +286,9 @@ def analyze(pair: MatrixPair) -> AnalysisReport:
         hausdorff=hausdorff,
         simple=simple,
         locally_contracting=condition_l,
-        purely_infinite_simple=_pure_infiniteness(simple),
-        nuclear=_yes("always", "the algebra is nuclear for every admissible pair"),
-        etale=_yes("always", "the germ groupoid is etale with second countable unit space"),
+        purely_infinite_simple=pure_infinite,
+        nuclear=_verdict("yes", "always", "the algebra is nuclear for every admissible pair"),
+        etale=_verdict("yes", "always", "the germ groupoid is etale with second countable unit space"),
         kgroups=k_groups(pair),
         notes=tuple(notes),
     )
