@@ -20,7 +20,9 @@ decides, is found by building the one candidate quotient and checking it
 through `compose`; the lcm tests rest on it.  The generators s(i,j,n),
 u(v)^t and q(v) are built here from the normal form directly, as
 references for the parser, and `cokernel` reads a dense matrix's cokernel
-off the witness-free diagonal form.
+off the witness-free diagonal form.  The element oracles take only the
+types from `invsemigroup`: they fold offsets with their own carry loop,
+read a zero B-row off B, and compare prefixes by slicing.
 """
 
 from __future__ import annotations
@@ -30,17 +32,7 @@ from fractions import Fraction
 
 from katsura.decisions import Reason, Verdict
 from katsura.errors import DomainError, StructuralError, format_int
-from katsura.invsemigroup import (
-    ZERO,
-    ISgElement,
-    PathWord,
-    Triple,
-    Zero,
-    is_prefix,
-    multiply,
-    push_unitary,
-    triple,
-)
+from katsura.invsemigroup import ZERO, ISgElement, PathWord, Triple, Zero
 from katsura.ktheory import AbelianGroup, abelian_group, diagonal_form, smith_normal_form
 from katsura.matrices import Edge, MatrixPair, graph_facts
 from katsura.pathspace import EventuallyPeriodicPath
@@ -49,15 +41,37 @@ from katsura.semigroupoid import GWord, HPower, SgpElement, compose, target
 Matrix = list[list[int]]
 
 
+def _triple(pair: MatrixPair, left: PathWord, exponent: int, right: PathWord) -> Triple:
+    """The normal form: at a vertex whose B-row is zero the unitary is its
+    range projection, so the power there is 0."""
+    return Triple(left, exponent if any(pair.b[left.target - 1]) else 0, right)
+
+
+def _push(pair: MatrixPair, exponent: int, edges: tuple[Edge, ...]) -> tuple[tuple[Edge, ...], int]:
+    """u^exponent . s_edges = s_edges' . u^carry: along each edge the offset
+    shifts by exponent * B, folds back into [1, A], and the fold count
+    carries to the next edge."""
+    out = []
+    for i, j, n in edges:
+        exponent, m = divmod(n - 1 + exponent * pair.b[i - 1][j - 1], pair.a[i - 1][j - 1])
+        out.append((i, j, m + 1))
+    return tuple(out), exponent
+
+
+def _starts(p: PathWord, q: PathWord) -> bool:
+    """p a left factor of q, base vertices included."""
+    return p.base == q.base and q.edges[: len(p.edges)] == p.edges
+
+
 def generator_s(pair: MatrixPair, i: int, j: int, n: int) -> Triple:
     """The partial isometry s(i,j,n) of a support arc; an out-of-range
     offset folds its excess into a trailing unitary power."""
-    carry, m = divmod(n - 1, pair.a_at(i, j))
-    return triple(pair, PathWord(i, ((i, j, m + 1),)), carry, PathWord(j))
+    carry, m = divmod(n - 1, pair.a[i - 1][j - 1])
+    return _triple(pair, PathWord(i, ((i, j, m + 1),)), carry, PathWord(j))
 
 
 def unitary(pair: MatrixPair, vertex: int, exponent: int = 1) -> Triple:
-    return triple(pair, PathWord(vertex), exponent, PathWord(vertex))
+    return _triple(pair, PathWord(vertex), exponent, PathWord(vertex))
 
 
 def projection_q(pair: MatrixPair, vertex: int) -> Triple:
@@ -70,16 +84,12 @@ def pairwise_multiply(pair: MatrixPair, x: ISgElement, y: ISgElement) -> ISgElem
     between them is pushed across the longer one's remainder."""
     if isinstance(x, Zero) or isinstance(y, Zero):
         return ZERO
-    if is_prefix(x.right, y.left):
-        rest = y.left.edges[len(x.right.edges):]
-        pushed, carry = push_unitary(pair, x.right.target, x.exponent, rest)
-        left = PathWord(x.left.base, x.left.edges + pushed)
-        return triple(pair, left, carry + y.exponent, y.right)
-    if is_prefix(y.left, x.right):
-        rest = x.right.edges[len(y.left.edges):]
-        pushed, carry = push_unitary(pair, y.left.target, -y.exponent, rest)
-        right = PathWord(y.right.base, y.right.edges + pushed)
-        return triple(pair, x.left, x.exponent - carry, right)
+    if _starts(x.right, y.left):
+        pushed, carry = _push(pair, x.exponent, y.left.edges[len(x.right.edges) :])
+        return _triple(pair, PathWord(x.left.base, x.left.edges + pushed), carry + y.exponent, y.right)
+    if _starts(y.left, x.right):
+        pushed, carry = _push(pair, -y.exponent, x.right.edges[len(y.left.edges) :])
+        return _triple(pair, x.left, x.exponent - carry, PathWord(y.right.base, y.right.edges + pushed))
     return ZERO
 
 
@@ -589,15 +599,15 @@ def capped_germ_equal(
     if isinstance(s, Zero) or isinstance(t, Zero):
         raise DomainError("germs are carried by nonzero elements")
     for elem in (s, t):
-        if not is_prefix(elem.right, x.unfold(len(elem.right))):
+        if not _starts(elem.right, x.unfold(len(elem.right))):
             raise DomainError("point lies outside the element's domain")
     p, q = len(x.preperiod), len(x.period)
     seen: set[tuple[int, int, int]] = set()
     for depth in range(depth_cap + 1):
         prefix = x.unfold(depth)
-        e = triple(pair, prefix, 0, prefix)
-        xs = multiply(pair, s, e)
-        xt = multiply(pair, t, e)
+        e = _triple(pair, prefix, 0, prefix)
+        xs = pairwise_multiply(pair, s, e)
+        xt = pairwise_multiply(pair, t, e)
         assert isinstance(xs, Triple) and isinstance(xt, Triple)
         if xs == xt:
             return "equal"

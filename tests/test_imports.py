@@ -6,11 +6,13 @@ loads its own module on first access.  Loading a pair needs only `errors`,
 the CLI never load the element layers, and an element command loads only
 those of its grammar and operation.  Counting modules, not
 milliseconds, makes the gate deterministic; each set is read against what
-an empty interpreter already holds.
+an empty interpreter already holds.  The test oracles of the element layer
+import only its types, so that a bug in its arithmetic cannot hide in them.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -128,3 +130,22 @@ def test_every_public_name_resolves():
         "    raise AssertionError('katsura.nope resolved')\n"
     )
     assert {m for m in _added(code) if m.startswith("katsura.")} >= {"katsura.decisions", "katsura.pathspace"}
+
+
+def test_oracles_import_only_the_element_types():
+    # the element oracles fold offsets, collapse zero B-rows and compare
+    # prefixes with their own code
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "katsura.invsemigroup"
+        for alias in node.names
+    }
+    assert imported == {"ZERO", "Zero", "ISgElement", "PathWord", "Triple"}
+    assert not any(
+        alias.name.startswith("katsura.invsemigroup")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    )

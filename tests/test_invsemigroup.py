@@ -130,8 +130,9 @@ class TestIdempotents:
 
     def test_zero_b_row_collapses_unitary(self):
         pair = MatrixPair.from_rows([[1]], [[0]])
-        assert unitary(pair, 1, 7) == projection_q(pair, 1)
-        assert is_idempotent(unitary(pair, 1))
+        u = triple(pair, PathWord(1), 7, PathWord(1))
+        assert u == Triple(PathWord(1), 0, PathWord(1)) == unitary(pair, 1, 7) == projection_q(pair, 1)
+        assert is_idempotent(u)
 
 
 def _projection_of_sgp(pair, elem):
