@@ -145,8 +145,9 @@ def test_cuntz_algebras():
     for n in range(1, 5):
         report = by_pair[MatrixPair.from_rows([[n]], [[0]])]
         assert any(note.startswith("B = 0:") for note in report.notes), n
-        groups = (report.kgroups.k0, report.kgroups.k1)
-        assert groups == ((AbelianGroup(1), AbelianGroup(1)) if n == 1 else (abelian_group(0, [n - 1]), AbelianGroup(0))), n
+        expected = (AbelianGroup(1), AbelianGroup(1)) if n == 1 else (abelian_group(0, [n - 1]), AbelianGroup(0))
+        assert (report.kgroups.k0, report.kgroups.k1) == expected, n
+
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--check"]:
